@@ -254,9 +254,11 @@ def cmd_log(args: argparse.Namespace) -> int:
             return EXIT_INTEGRITY
         print(f"chain OK, {count} records")
         return EXIT_OK
+    if args.tail is not None and args.tail < 0:
+        raise CliError(f"-n must be a non-negative record count, got {args.tail}")
     records = read_audit(state_dir)
     if args.tail is not None:
-        records = records[-args.tail :]
+        records = records[max(len(records) - args.tail, 0) :]
     for record in records:
         if args.json:
             print(record.to_line().decode("utf-8"))

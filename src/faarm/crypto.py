@@ -67,8 +67,6 @@ class Digest:
 
     data: bytes
 
-    ALGORITHM = "sha256"
-
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
             object.__setattr__(self, "data", bytes(self.data))

@@ -13,6 +13,7 @@ outside that critical section.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -61,15 +62,6 @@ class HookPoint(Enum):
 
 
 @dataclass(frozen=True)
-class WriteAttempt:
-    origin: WriteOrigin
-    offset: int
-    data: bytes
-    outcome: WriteOutcome
-    cause: str | None = None
-
-
-@dataclass(frozen=True)
 class RegionSnapshot:
     content: bytes
     lock_state: LockState
@@ -81,6 +73,8 @@ class McuRegion:
 
     audit_sink, when set, is called with a one-line detail string for every
     denied EL1 write; the monitor wires it to WRITE_DENIED audit records.
+    attempts counts every write by (origin, outcome), so its size stays
+    bounded however many writes an attacker issues.
     """
 
     def __init__(
@@ -97,7 +91,7 @@ class McuRegion:
         self.running_digest: Digest | None = None
         self.audit_sink = audit_sink
         self.fail_next_lock = False
-        self.attempts: list[WriteAttempt] = []
+        self.attempts: Counter[tuple[WriteOrigin, WriteOutcome]] = Counter()
         self._content = bytearray()
         self._mutex = threading.RLock()
         self._hooks: dict[HookPoint, list[Callable[[], None]]] = {p: [] for p in HookPoint}
@@ -122,9 +116,7 @@ class McuRegion:
             if self.lock_state is LockState.LOCKED:
                 return self._deny(WriteOrigin.EL1, offset, data, "locked")
             self._apply(offset, data)
-            self.attempts.append(
-                WriteAttempt(WriteOrigin.EL1, offset, data, WriteOutcome.APPLIED)
-            )
+            self.attempts[WriteOrigin.EL1, WriteOutcome.APPLIED] += 1
             return WriteOutcome.APPLIED
 
     def secure_write(self, firmware: bytes) -> None:
@@ -139,12 +131,7 @@ class McuRegion:
                     f"firmware of {len(firmware)} bytes exceeds capacity {self.capacity}"
                 )
             self._content = bytearray(firmware)
-            self.attempts.append(
-                WriteAttempt(
-                    WriteOrigin.EL3_SECURE_LOADER, 0, b"", WriteOutcome.APPLIED,
-                    cause=f"secure-load:{len(firmware)}",
-                )
-            )
+            self.attempts[WriteOrigin.EL3_SECURE_LOADER, WriteOutcome.APPLIED] += 1
 
     def tamper_test_hook(self, offset: int, data: bytes) -> WriteOutcome:
         """Out-of-band mutation modeling tampering that a software lock cannot
@@ -156,9 +143,7 @@ class McuRegion:
             if self.lock_state is LockState.LOCKED and self.lock_mode is LockMode.HARDWARE_WP:
                 return self._deny(WriteOrigin.TEST_HOOK, offset, data, "hardware-wp")
             self._apply(offset, data)
-            self.attempts.append(
-                WriteAttempt(WriteOrigin.TEST_HOOK, offset, data, WriteOutcome.APPLIED)
-            )
+            self.attempts[WriteOrigin.TEST_HOOK, WriteOutcome.APPLIED] += 1
             return WriteOutcome.APPLIED
 
     # -- lock ----------------------------------------------------------------
@@ -219,7 +204,7 @@ class McuRegion:
                 "size": len(self._content),
                 "digest": hash_data(bytes(self._content)).hex,
                 "running_digest": self.running_digest.hex if self.running_digest else None,
-                "attempts": len(self.attempts),
+                "attempts": self.attempts.total(),
             }
 
     # -- snapshots ---------------------------------------------------------------
@@ -258,7 +243,7 @@ class McuRegion:
         self._content[offset:end] = data
 
     def _deny(self, origin: WriteOrigin, offset: int, data: bytes, cause: str) -> WriteOutcome:
-        self.attempts.append(WriteAttempt(origin, offset, data, WriteOutcome.DENIED, cause))
+        self.attempts[origin, WriteOutcome.DENIED] += 1
         if origin is WriteOrigin.EL1 and self.audit_sink is not None:
             self.audit_sink(f"el1 write denied ({cause}) offset={offset} len={len(data)}")
         return WriteOutcome.DENIED

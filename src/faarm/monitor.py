@@ -1,5 +1,5 @@
 """The EL3-style secure monitor: the ordered verify-and-lock load protocol,
-protected-memory bookkeeping, session rechecks, and the task admission gate.
+session rechecks, and the task admission gate.
 
 Load protocol, in order (a failing step rejects with the reason shown, appends
 a VERIFY_REJECT record, and leaves both the counter and the region untouched):
@@ -13,7 +13,7 @@ a VERIFY_REJECT record, and leaves both the counter and the region untouched):
   7. image fits the region                        -> oversize
   8. atomic secure write + lock (one critical
      section, so no EL1 write can interleave)     -> lock-failed
-  9. protection table update, VERIFY_ACCEPT, counter commit, token issue
+  9. VERIFY_ACCEPT, counter commit, token issue
 
 Verification and locking happen inside one serialized entry point: the TOCTOU
 window between "checked" and "locked" is closed by construction, and the
@@ -26,7 +26,7 @@ from __future__ import annotations
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -43,8 +43,6 @@ from .packaging import (
 )
 from .state import AuditEvent, AuditRecord, SecureStateStore, read_audit
 
-FIRMWARE_REGION_ID = "mcu-firmware"
-TASK_DATA_REGION_ID = "gpu-task-data"
 TASK_ENVELOPE_MAGIC = b"ENC1"
 
 
@@ -59,7 +57,6 @@ class ReplayError(Exception):
 class Phase(Enum):
     UNPROVISIONED = "unprovisioned"
     IDLE = "idle"
-    VERIFYING = "verifying"
     LOADED_LOCKED = "loaded-locked"
     QUARANTINED = "quarantined"
 
@@ -134,21 +131,6 @@ class MonitorStatus:
     current_digest: Digest | None
 
 
-@dataclass
-class ProtectionTable:
-    """Which originators may touch which protected region (bookkeeping that
-    stands in for TZASC/SMMU window configuration)."""
-
-    entries: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def protect_locked_firmware(self) -> None:
-        self.entries[FIRMWARE_REGION_ID] = frozenset({"EL3"})
-        self.entries[TASK_DATA_REGION_ID] = frozenset({"EL3", "GPU"})
-
-    def allowed(self, region_id: str) -> frozenset[str]:
-        return self.entries.get(region_id, frozenset())
-
-
 class Monitor:
     """One monitor instance guards one region with one state store."""
 
@@ -164,9 +146,7 @@ class Monitor:
         self.region = region
         self.mcu_id = mcu_id
         self.known_flags = frozenset(known_flags)
-        self.protection = ProtectionTable()
         self.phase = Phase.IDLE
-        self.executed_tasks: list[dict] = []
         self._current_version: int | None = None
         self._current_digest: Digest | None = None
         self._token: AuthToken | None = None
@@ -182,117 +162,96 @@ class Monitor:
     def verify_and_lock(self, package: FirmwarePackage) -> VerifyResult:
         """Run the full ordered load protocol on an in-memory package."""
         with self._serial:
-            previous_phase = self.phase
-            self.phase = Phase.VERIFYING
             t_total = time.perf_counter()
-            timings = {"verify_ms": 0.0, "lock_ms": 0.0}
             manifest = package.manifest
+            version = manifest.version
+            self.region.fire(HookPoint.PRE_VERIFY)
 
-            def rejected(reason: RejectionReason, detail: str) -> VerifyResult:
-                self.store.append_audit(
-                    AuditEvent.VERIFY_REJECT,
-                    version=manifest.version,
-                    reason=reason.value,
-                    detail=detail,
+            t_verify = time.perf_counter()
+            digest = hash_data(package.firmware)
+            hash_ok = digest == manifest.firmware_hash
+            signature_ok = hash_ok and verify(
+                self.store.anchor,
+                signing_payload(digest, canonical_bytes(manifest)),
+                package.signature,
+            )
+            verify_ms = _ms_since(t_verify)
+            if not hash_ok:
+                return self._reject(
+                    RejectionReason.HASH_MISMATCH,
+                    f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}",
+                    version, t_total, verify_ms,
                 )
-                self.phase = previous_phase
-                return VerifyResult(
-                    accepted=False, reason=reason, detail=detail,
-                    version=manifest.version, digest=None, token=None,
-                    timings=StageTimings(
-                        timings["verify_ms"], timings["lock_ms"],
-                        (time.perf_counter() - t_total) * 1000.0,
-                    ),
+            if not signature_ok:
+                return self._reject(
+                    RejectionReason.BAD_SIGNATURE,
+                    "signature does not verify against the provisioned anchor",
+                    version, t_total, verify_ms,
+                )
+            if manifest.mcu_id != self.mcu_id:
+                return self._reject(
+                    RejectionReason.MALFORMED_BUNDLE,
+                    f"manifest mcu_id {manifest.mcu_id!r} does not match monitor {self.mcu_id!r}",
+                    version, t_total, verify_ms,
+                )
+            if not self.store.check_version(version):
+                return self._reject(
+                    RejectionReason.ROLLBACK,
+                    f"version {version} is not above counter {self.store.nv_counter}",
+                    version, t_total, verify_ms,
+                )
+            unknown = sorted(set(manifest.flags) - self.known_flags)
+            if unknown:
+                return self._reject(
+                    RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}",
+                    version, t_total, verify_ms,
+                )
+            if len(package.firmware) > self.region.capacity:
+                return self._reject(
+                    RejectionReason.OVERSIZE,
+                    f"{len(package.firmware)} bytes exceeds region capacity {self.region.capacity}",
+                    version, t_total, verify_ms,
+                )
+            requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
+
+            self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
+
+            t_lock = time.perf_counter()
+            lock_engaged = False
+            with self.region.exclusive():
+                snap = self.region.snapshot()
+                try:
+                    self.region.unlock_for_update()
+                    self.region.secure_write(package.firmware)
+                    self.region.lock()
+                    lock_engaged = True
+                except LockEngageError:
+                    if requires_lock:
+                        self.region.restore(snap)
+            lock_ms = _ms_since(t_lock)
+            if not lock_engaged and requires_lock:
+                return self._reject(
+                    RejectionReason.LOCK_FAILED,
+                    "region lock did not engage and the manifest requires it",
+                    version, t_total, verify_ms, lock_ms,
                 )
 
-            try:
-                self.region.fire(HookPoint.PRE_VERIFY)
+            if lock_engaged:
+                self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
+            self.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex)
+            self.store.commit_version(version)
 
-                t_verify = time.perf_counter()
-                digest = hash_data(package.firmware)
-                hash_ok = digest == manifest.firmware_hash
-                signature_ok = hash_ok and verify(
-                    self.store.anchor,
-                    signing_payload(digest, canonical_bytes(manifest)),
-                    package.signature,
-                )
-                timings["verify_ms"] = (time.perf_counter() - t_verify) * 1000.0
-                if not hash_ok:
-                    return rejected(
-                        RejectionReason.HASH_MISMATCH,
-                        f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}",
-                    )
-                if not signature_ok:
-                    return rejected(
-                        RejectionReason.BAD_SIGNATURE,
-                        "signature does not verify against the provisioned anchor",
-                    )
-                if manifest.mcu_id != self.mcu_id:
-                    return rejected(
-                        RejectionReason.MALFORMED_BUNDLE,
-                        f"manifest mcu_id {manifest.mcu_id!r} does not match monitor {self.mcu_id!r}",
-                    )
-                if not self.store.check_version(manifest.version):
-                    return rejected(
-                        RejectionReason.ROLLBACK,
-                        f"version {manifest.version} is not above counter {self.store.nv_counter}",
-                    )
-                unknown = sorted(set(manifest.flags) - self.known_flags)
-                if unknown:
-                    return rejected(RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}")
-                if len(package.firmware) > self.region.capacity:
-                    return rejected(
-                        RejectionReason.OVERSIZE,
-                        f"{len(package.firmware)} bytes exceeds region capacity {self.region.capacity}",
-                    )
-                requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
-
-                self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
-
-                t_lock = time.perf_counter()
-                lock_engaged = False
-                with self.region.exclusive():
-                    snap = self.region.snapshot()
-                    try:
-                        self.region.unlock_for_update()
-                        self.region.secure_write(package.firmware)
-                        self.region.lock()
-                        lock_engaged = True
-                    except LockEngageError:
-                        if requires_lock:
-                            self.region.restore(snap)
-                timings["lock_ms"] = (time.perf_counter() - t_lock) * 1000.0
-                if not lock_engaged and requires_lock:
-                    return rejected(
-                        RejectionReason.LOCK_FAILED,
-                        "region lock did not engage and the manifest requires it",
-                    )
-
-                if lock_engaged:
-                    self.store.append_audit(
-                        AuditEvent.LOCK, version=manifest.version, digest=digest.hex
-                    )
-                self.protection.protect_locked_firmware()
-                self.store.append_audit(
-                    AuditEvent.VERIFY_ACCEPT, version=manifest.version, digest=digest.hex
-                )
-                self.store.commit_version(manifest.version)
-
-                self._current_version = manifest.version
-                self._current_digest = digest
-                self._token = AuthToken(secrets.token_hex(16), manifest.version, digest.hex)
-                self.phase = Phase.LOADED_LOCKED
-                total_ms = (time.perf_counter() - t_total) * 1000.0
-                result = VerifyResult(
-                    accepted=True, reason=None, detail=None,
-                    version=manifest.version, digest=digest, token=self._token,
-                    timings=StageTimings(timings["verify_ms"], timings["lock_ms"], total_ms),
-                )
-                self.region.fire(HookPoint.POST_LOCK)
-                return result
-            except BaseException:
-                self.phase = previous_phase
-                raise
+            self._current_version = version
+            self._current_digest = digest
+            self._token = AuthToken(secrets.token_hex(16), version, digest.hex)
+            self.phase = Phase.LOADED_LOCKED
+            result = VerifyResult(
+                accepted=True, reason=None, detail=None,
+                version=version, digest=digest, token=self._token,
+                timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
+            )
+            self.region.fire(HookPoint.POST_LOCK)
+            return result
 
     def verify_bundle(self, path: str | Path) -> VerifyResult:
         """Read a bundle from disk and run the load protocol; parse failures
@@ -301,19 +260,8 @@ class Monitor:
         try:
             package = read_bundle(path)
         except (BundleError, ManifestError, CryptoError) as exc:
-            detail = str(exc)
             with self._serial:
-                self.store.append_audit(
-                    AuditEvent.VERIFY_REJECT,
-                    reason=RejectionReason.MALFORMED_BUNDLE.value,
-                    detail=detail,
-                )
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            return VerifyResult(
-                accepted=False, reason=RejectionReason.MALFORMED_BUNDLE, detail=detail,
-                version=None, digest=None, token=None,
-                timings=StageTimings(0.0, 0.0, elapsed),
-            )
+                return self._reject(RejectionReason.MALFORMED_BUNDLE, str(exc), None, t0)
         return self.verify_and_lock(package)
 
     # -- sessions and tasks ---------------------------------------------------
@@ -368,7 +316,6 @@ class Monitor:
             self.store.append_audit(
                 AuditEvent.TASK_ADMIT, version=self._current_version, digest=digest_hex
             )
-            self.executed_tasks.append({"digest": digest_hex, "payload_bytes": len(payload)})
             return TaskResult(True, None, digest_hex)
 
     def status(self) -> MonitorStatus:
@@ -377,6 +324,26 @@ class Monitor:
             return MonitorStatus(self.phase, self._current_version, self._current_digest)
 
     # -- internals -----------------------------------------------------------
+
+    def _reject(
+        self,
+        reason: RejectionReason,
+        detail: str,
+        version: int | None,
+        t_total: float,
+        verify_ms: float = 0.0,
+        lock_ms: float = 0.0,
+    ) -> VerifyResult:
+        """Record VERIFY_REJECT and build the rejected result; the caller holds
+        _serial and has changed neither the counter nor the region."""
+        self.store.append_audit(
+            AuditEvent.VERIFY_REJECT, version=version, reason=reason.value, detail=detail
+        )
+        return VerifyResult(
+            accepted=False, reason=reason, detail=detail,
+            version=version, digest=None, token=None,
+            timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
+        )
 
     def _region_clean(self) -> bool:
         if self.region.lock_state is LockState.LOCKED:
@@ -397,6 +364,10 @@ class Monitor:
     def _deny_task(self, reason: str) -> TaskResult:
         self.store.append_audit(AuditEvent.TASK_DENY, reason=reason)
         return TaskResult(False, reason, None)
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
 
 
 # -- audit replay -------------------------------------------------------------

@@ -216,7 +216,7 @@ def write_bundle(package: FirmwarePackage, path: str | Path) -> Path:
     return path
 
 
-def read_bundle(path: str | Path, *, max_firmware_size: int | None = None) -> FirmwarePackage:
+def read_bundle(path: str | Path) -> FirmwarePackage:
     """Read and validate a bundle written by write_bundle.
 
     The returned signature carries scheme=None (the file format has no scheme
@@ -259,7 +259,5 @@ def read_bundle(path: str | Path, *, max_firmware_size: int | None = None) -> Fi
         raise BundleError(MANIFEST_NAME, f"exceeds {MAX_MANIFEST_BYTES} bytes")
     if len(signature_raw) != SIGNATURE_SIZE:
         raise BundleError(SIGNATURE_NAME, f"must be {SIGNATURE_SIZE} bytes, got {len(signature_raw)}")
-    if max_firmware_size is not None and len(firmware) > max_firmware_size:
-        raise BundleError(FIRMWARE_NAME, f"{len(firmware)} bytes exceeds limit {max_firmware_size}")
     manifest = parse_manifest(manifest_raw)
     return FirmwarePackage(firmware, manifest, Signature(signature_raw, None))

@@ -215,6 +215,9 @@ class TestStatusAndLog:
         tail = cli("log", "--state", str(workshop["state"]), "-n", "1")
         assert len(tail.out.strip().splitlines()) == 1
         assert "VERIFY_ACCEPT" in tail.out
+        assert cli("log", "--state", str(workshop["state"]), "-n", "0").out == ""
+        bad = cli("log", "--state", str(workshop["state"]), "-n", "-1", expect=2)
+        assert "-n" in bad.err
 
     def test_log_json_lines_parse(self, cli, workshop):
         out = cli("log", "--state", str(workshop["state"]), "--json")

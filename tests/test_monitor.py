@@ -4,8 +4,6 @@ from faarm.crypto import Signature, hash_data, keygen, SignatureScheme
 from faarm.mcu import HookPoint, LockMode, LockState
 from faarm.monitor import (
     EXIT_CODES,
-    FIRMWARE_REGION_ID,
-    TASK_DATA_REGION_ID,
     AuthToken,
     MonitorError,
     Phase,
@@ -49,12 +47,6 @@ class TestAcceptPath:
         events = events_of(env)
         assert events.index(AuditEvent.LOCK) < events.index(AuditEvent.VERIFY_ACCEPT)
 
-    def test_protection_table_is_configured(self, env):
-        assert env.monitor.protection.allowed(FIRMWARE_REGION_ID) == frozenset()
-        env.monitor.verify_and_lock(env.package(FW, 1))
-        assert env.monitor.protection.allowed(FIRMWARE_REGION_ID) == {"EL3"}
-        assert env.monitor.protection.allowed(TASK_DATA_REGION_ID) == {"EL3", "GPU"}
-
     def test_update_replaces_old_version(self, env):
         env.monitor.verify_and_lock(env.package(FW, 1))
         new_fw = FW[::-1]
@@ -79,10 +71,10 @@ class TestAcceptPath:
 
 
 class TestRejections:
-    def assert_nothing_committed(self, env, before_digest, before_nv):
+    def assert_nothing_committed(self, env, before_digest, before_nv, before_phase):
         assert env.store.nv_counter == before_nv
         assert env.region.digest() == before_digest
-        assert env.monitor.phase is not Phase.VERIFYING
+        assert env.monitor.phase is before_phase
 
     def test_tampered_firmware_is_hash_mismatch(self, env):
         pkg = env.package(FW, 1)
@@ -93,7 +85,7 @@ class TestRejections:
         assert not result.accepted
         assert result.reason is RejectionReason.HASH_MISMATCH
         assert result.exit_code == 11
-        self.assert_nothing_committed(env, before, 0)
+        self.assert_nothing_committed(env, before, 0, Phase.IDLE)
 
     def test_forged_signature_is_bad_signature(self, env):
         pkg = env.package(FW, 1)
@@ -119,7 +111,7 @@ class TestRejections:
         result = env.monitor.verify_and_lock(env.package(FW[::-1], 3))
         assert result.reason is RejectionReason.ROLLBACK
         assert result.exit_code == 12
-        self.assert_nothing_committed(env, before, 3)
+        self.assert_nothing_committed(env, before, 3, Phase.LOADED_LOCKED)
 
     def test_older_version_is_rollback(self, env):
         env.monitor.verify_and_lock(env.package(FW, 3))
@@ -259,6 +251,19 @@ class TestSessionsAndTasks:
         assert env.monitor.phase is Phase.LOADED_LOCKED
         assert env.monitor.session_start() is True
 
+    def test_post_lock_hook_failure_keeps_committed_load(self, env):
+        def fail():
+            raise RuntimeError("post-lock hook failed")
+
+        env.region.add_hook(HookPoint.POST_LOCK, fail)
+        with pytest.raises(RuntimeError, match="post-lock"):
+            env.monitor.verify_and_lock(env.package(FW, 1))
+        assert env.store.nv_counter == 1
+        assert env.monitor.status().current_version == 1
+        assert env.monitor.phase is Phase.LOADED_LOCKED
+        env.region.clear_hooks()
+        assert env.monitor.session_start() is True
+
     def test_rejected_load_does_not_exit_quarantine(self, make_env):
         env = make_env(lock_mode=LockMode.SOFTWARE_LOCK)
         env.monitor.verify_and_lock(env.package(FW, 1))
@@ -277,7 +282,6 @@ class TestSessionsAndTasks:
         admits = [r for r in env.store.read_records() if r.event is AuditEvent.TASK_ADMIT]
         assert len(admits) == 1
         assert admits[0].digest == result.digest.hex
-        assert env.monitor.executed_tasks[-1]["digest"] == result.digest.hex
 
     def test_forged_token_denied(self, env):
         result = env.monitor.verify_and_lock(env.package(FW, 1))

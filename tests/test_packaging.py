@@ -339,11 +339,6 @@ class TestBundles:
         with pytest.raises(BundleError, match="trailing"):
             read_bundle(path)
 
-    def test_firmware_size_limit_enforced(self, tmp_path, ed25519_key):
-        path = self.roundtrip(tmp_path, ed25519_key, "bundle")
-        with pytest.raises(BundleError, match="exceeds"):
-            read_bundle(path, max_firmware_size=16)
-
     def test_mutated_part_fails_verification(self, tmp_path, ed25519_key):
         # single-byte mutations on each bundle part must be caught by hash,
         # parse, or signature check (the wide fuzz run lives in acceptance)
