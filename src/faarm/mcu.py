@@ -8,6 +8,13 @@ rechecks must catch. The region mutex doubles as the critical section the
 secure loader uses to make verify-write-lock atomic against concurrent EL1
 writers; interposition hooks for adversarial schedules are fired by callers
 outside that critical section.
+
+The region holds its image as immutable bytes: secure_write and restore keep
+the caller's object without copying, so a snapshot can never alias a buffer
+that is written later. Only an in-place write on the unlocked path (EL1 or the
+test hook) turns the content into a private bytearray. lock() records the
+digest its EL3 caller computed over exactly the bytes it wrote inside
+exclusive(); without one it hashes the content itself.
 """
 
 from __future__ import annotations
@@ -92,7 +99,7 @@ class McuRegion:
         self.audit_sink = audit_sink
         self.fail_next_lock = False
         self.attempts: Counter[tuple[WriteOrigin, WriteOutcome]] = Counter()
-        self._content = bytearray()
+        self._content: bytes | bytearray = b""
         self._mutex = threading.RLock()
         self._hooks: dict[HookPoint, list[Callable[[], None]]] = {p: [] for p in HookPoint}
 
@@ -120,8 +127,9 @@ class McuRegion:
             return WriteOutcome.APPLIED
 
     def secure_write(self, firmware: bytes) -> None:
-        """EL3 loader path: replaces the entire image. Callers pair this with
-        lock() inside a single exclusive() section."""
+        """EL3 loader path: replaces the entire image, keeping a bytes argument
+        as is rather than copying it. Callers pair this with lock() inside a
+        single exclusive() section."""
         firmware = bytes(firmware)
         with self._mutex:
             if self.lock_state is LockState.LOCKED:
@@ -130,7 +138,7 @@ class McuRegion:
                 raise RegionError(
                     f"firmware of {len(firmware)} bytes exceeds capacity {self.capacity}"
                 )
-            self._content = bytearray(firmware)
+            self._content = firmware
             self.attempts[WriteOrigin.EL3_SECURE_LOADER, WriteOutcome.APPLIED] += 1
 
     def tamper_test_hook(self, offset: int, data: bytes) -> WriteOutcome:
@@ -148,11 +156,14 @@ class McuRegion:
 
     # -- lock ----------------------------------------------------------------
 
-    def lock(self) -> bool:
+    def lock(self, digest: Digest | None = None) -> bool:
         """Engage the lock and record the content digest it covers.
 
-        Returns False for an already-locked no-op; raises LockEngageError when
-        fault injection is armed.
+        digest, when given, must come from the EL3 caller that wrote exactly
+        these immutable bytes with secure_write inside the same exclusive()
+        section, and is recorded without re-hashing; otherwise the content is
+        hashed here. Returns False for an already-locked no-op; raises
+        LockEngageError when fault injection is armed.
         """
         with self._mutex:
             if self.lock_state is LockState.LOCKED:
@@ -161,7 +172,9 @@ class McuRegion:
                 self.fail_next_lock = False
                 raise LockEngageError("region lock did not engage")
             self.lock_state = LockState.LOCKED
-            self.running_digest = hash_data(bytes(self._content))
+            if digest is None:
+                digest = hash_data(bytes(self._content))
+            self.running_digest = digest
             return True
 
     def unlock_for_update(self) -> None:
@@ -215,7 +228,7 @@ class McuRegion:
 
     def restore(self, snap: RegionSnapshot) -> None:
         with self._mutex:
-            self._content = bytearray(snap.content)
+            self._content = snap.content
             self.lock_state = snap.lock_state
             self.running_digest = snap.running_digest
 
@@ -237,6 +250,8 @@ class McuRegion:
     # -- internals ------------------------------------------------------------------
 
     def _apply(self, offset: int, data: bytes) -> None:
+        if not isinstance(self._content, bytearray):
+            self._content = bytearray(self._content)
         end = offset + len(data)
         if end > len(self._content):
             self._content.extend(b"\x00" * (end - len(self._content)))

@@ -4,15 +4,16 @@ session rechecks, and the task admission gate.
 Load protocol, in order (a failing step rejects with the reason shown, appends
 a VERIFY_REJECT record, and leaves both the counter and the region untouched):
 
-  1. hash the firmware image
+  1. freeze the firmware image as bytes and hash it, once
   2. compare against the manifest hash            -> hash-mismatch
   3. verify the signature over digest||manifest   -> bad-signature
   4. manifest identity matches this monitor       -> malformed-bundle
   5. version strictly above the committed counter -> rollback
   6. every manifest flag is known                 -> unknown-flag
   7. image fits the region                        -> oversize
-  8. atomic secure write + lock (one critical
-     section, so no EL1 write can interleave)     -> lock-failed
+  8. secure write of the step-1 bytes + lock with
+     the step-1 digest, in one critical section
+     (no EL1 write can interleave)                -> lock-failed
   9. VERIFY_ACCEPT, counter commit, token issue
 
 Verification and locking happen inside one serialized entry point: the TOCTOU
@@ -160,15 +161,22 @@ class Monitor:
     # -- the load protocol -----------------------------------------------------
 
     def verify_and_lock(self, package: FirmwarePackage) -> VerifyResult:
-        """Run the full ordered load protocol on an in-memory package."""
+        """Run the full ordered load protocol on an in-memory package.
+
+        The image is frozen into one immutable bytes object up front (a no-op
+        when it already is bytes); that object alone is hashed, written and
+        locked, so a caller mutating package.firmware after verification
+        cannot change what gets locked.
+        """
         with self._serial:
             t_total = time.perf_counter()
+            firmware = bytes(package.firmware)
             manifest = package.manifest
             version = manifest.version
             self.region.fire(HookPoint.PRE_VERIFY)
 
             t_verify = time.perf_counter()
-            digest = hash_data(package.firmware)
+            digest = hash_data(firmware)
             hash_ok = digest == manifest.firmware_hash
             signature_ok = hash_ok and verify(
                 self.store.anchor,
@@ -206,10 +214,10 @@ class Monitor:
                     RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}",
                     version, t_total, verify_ms,
                 )
-            if len(package.firmware) > self.region.capacity:
+            if len(firmware) > self.region.capacity:
                 return self._reject(
                     RejectionReason.OVERSIZE,
-                    f"{len(package.firmware)} bytes exceeds region capacity {self.region.capacity}",
+                    f"{len(firmware)} bytes exceeds region capacity {self.region.capacity}",
                     version, t_total, verify_ms,
                 )
             requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
@@ -222,8 +230,8 @@ class Monitor:
                 snap = self.region.snapshot()
                 try:
                     self.region.unlock_for_update()
-                    self.region.secure_write(package.firmware)
-                    self.region.lock()
+                    self.region.secure_write(firmware)
+                    self.region.lock(digest)
                     lock_engaged = True
                 except LockEngageError:
                     if requires_lock:

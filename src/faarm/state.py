@@ -35,6 +35,7 @@ STATE_NAME = "state.json"
 AUDIT_NAME = "audit.log"
 LOCK_NAME = "lock"
 GENESIS_HASH = "0" * 64
+_TAIL_BLOCK = 64 * 1024  # bytes read per step when looking for the last audit line
 
 
 class StateError(Exception):
@@ -419,18 +420,28 @@ def _write_state_atomic(path: Path, anchor: PublicKey, nv: int, durable: bool) -
 
 
 def _scan_audit_tail(audit_path: Path) -> tuple[int, str]:
+    """(seq, line hash) of the last non-empty line of the audit log, or
+    (0, GENESIS_HASH) when there is none. Reads backwards from the end in
+    blocks until a whole line is in hand, so the cost does not grow with the
+    log. Lines end at LF or CR, as with bytes.splitlines()."""
     if not audit_path.exists():
         return 0, GENESIS_HASH
-    last_line = None
-    last_seq = 0
-    for line in audit_path.read_bytes().splitlines():
-        if line:
-            last_line = line
-    if last_line is None:
+    with open(audit_path, "rb") as fh:
+        pos = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while True:
+            body = tail.rstrip(b"\r\n")
+            start = max(body.rfind(b"\n"), body.rfind(b"\r")) + 1
+            if start > 0 or pos == 0:
+                break
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+    last_line = body[start:]
+    if not last_line:
         return 0, GENESIS_HASH
-    record = AuditRecord.from_line(last_line)
-    last_seq = record.seq
-    return last_seq, _line_hash(last_line)
+    return AuditRecord.from_line(last_line).seq, _line_hash(last_line)
 
 
 def _archive_existing(path: Path) -> Path:

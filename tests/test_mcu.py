@@ -89,6 +89,19 @@ class TestSecureWriteAndLock:
         assert region.lock_state is LockState.LOCKED
         assert region.running_digest == hash_data(b"fw bytes")
 
+    def test_lock_hashes_content_written_in_place(self, region):
+        region.el1_write(0, b"fw bytes")
+        assert region.lock() is True
+        assert region.running_digest == hash_data(b"fw bytes")
+
+    def test_lock_records_the_supplied_digest(self, region):
+        region.secure_write(b"fw bytes")
+        claimed = hash_data(b"some other image")
+        assert region.lock(claimed) is True
+        assert region.running_digest is claimed
+        # recheck still hashes the real content, so a wrong claim cannot pass it
+        assert region.recheck() is False
+
     def test_double_lock_is_a_noop(self, region):
         region.secure_write(b"fw")
         assert region.lock() is True
@@ -154,6 +167,19 @@ class TestSnapshots:
         assert region.read() == b"original"
         assert region.lock_state is LockState.LOCKED
         assert region.running_digest == hash_data(b"original")
+
+    def test_snapshot_survives_in_place_writes(self, region):
+        region.secure_write(b"original")
+        snap = region.snapshot()
+        assert region.el1_write(0, b"XX") is WriteOutcome.APPLIED
+        later = region.snapshot()
+        assert region.tamper_test_hook(2, b"YY") is WriteOutcome.APPLIED
+        assert region.read() == b"XXYYinal"
+        region.restore(later)
+        assert region.read() == b"XXiginal"
+        region.restore(snap)
+        assert region.read() == b"original"
+        assert snap.content == b"original"
 
 
 class TestHooks:

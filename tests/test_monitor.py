@@ -1,5 +1,7 @@
 import pytest
 
+import faarm.mcu
+import faarm.monitor
 from faarm.crypto import Signature, hash_data, keygen, SignatureScheme
 from faarm.mcu import HookPoint, LockMode, LockState
 from faarm.monitor import (
@@ -62,6 +64,21 @@ class TestAcceptPath:
         denied = env.monitor.submit_task(first.token, b"ENC1payload")
         assert not denied.admitted
         assert denied.reason == "invalid-token"
+
+    def test_each_accepted_load_hashes_the_image_once(self, env, monkeypatch):
+        hashed = []
+
+        def counting_hash(data):
+            hashed.append(len(data))
+            return hash_data(data)
+
+        monkeypatch.setattr(faarm.monitor, "hash_data", counting_hash)
+        monkeypatch.setattr(faarm.mcu, "hash_data", counting_hash)
+        # the second load also covers the update path out of a locked region
+        for version, image in ((1, FW), (2, FW[::-1])):
+            hashed.clear()
+            assert env.monitor.verify_and_lock(env.package(image, version)).accepted
+            assert hashed == [len(image)]
 
     def test_timings_are_positive(self, env):
         result = env.monitor.verify_and_lock(env.package(FW, 1))
@@ -215,6 +232,23 @@ class TestToctouClosure:
         assert result.accepted
         assert env.region.digest() == result.digest
         assert env.region.read() == FW
+        assert env.monitor.session_start() is True
+
+    def test_mutating_the_package_after_verify_cannot_change_the_lock(self, env):
+        pkg = env.package(FW, 1)
+        firmware = bytearray(pkg.firmware)
+        pkg = FirmwarePackage(firmware, pkg.manifest, pkg.signature)
+
+        def overwrite_verified_image():
+            firmware[:64] = b"\x66" * 64
+
+        env.region.add_hook(HookPoint.POST_VERIFY_PRE_LOCK, overwrite_verified_image)
+        result = env.monitor.verify_and_lock(pkg)
+        assert result.accepted
+        assert firmware[:64] == b"\x66" * 64
+        assert env.region.read() == FW
+        assert env.region.digest() == result.digest
+        assert env.region.running_digest == result.digest
         assert env.monitor.session_start() is True
 
     def test_denied_overwrites_are_audited(self, env):

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faarm import state
 from faarm.state import (
     AlreadyProvisionedError,
     AuditChainError,
@@ -301,3 +306,84 @@ class TestStateFileCorruption:
         state_path.write_text(json.dumps(obj))
         with pytest.raises(StateError, match="counter"):
             read_state(tmp_path / "s")
+
+
+def full_scan_tail(audit_path: Path) -> tuple[int, str]:
+    """Reference: the last non-empty line of the whole log, read at once."""
+    if not audit_path.exists():
+        return 0, "0" * 64
+    lines = [line for line in audit_path.read_bytes().splitlines() if line]
+    if not lines:
+        return 0, "0" * 64
+    return AuditRecord.from_line(lines[-1]).seq, hashlib.sha256(lines[-1]).hexdigest()
+
+
+def outcome(scan, audit_path: Path):
+    try:
+        return scan(audit_path)
+    except StateError as exc:
+        return f"StateError: {exc}"
+
+
+class TestAuditTail:
+    def test_missing_and_empty_log_are_genesis(self, tmp_path):
+        log = tmp_path / "audit.log"
+        assert state._scan_audit_tail(log) == (0, "0" * 64)
+        log.write_bytes(b"")
+        assert state._scan_audit_tail(log) == (0, "0" * 64)
+        log.write_bytes(b"\n\r\n\n" * 40_000)
+        assert state._scan_audit_tail(log) == (0, "0" * 64)
+
+    @pytest.mark.parametrize("last_detail", [10, 3 * state._TAIL_BLOCK], ids=["short", "long"])
+    def test_matches_full_scan_on_a_log_larger_than_one_block(self, store, last_detail):
+        for i in range(600):
+            store.append_audit(AuditEvent.WRITE_DENIED, detail=f"el1 write denied offset={i}")
+        record = store.append_audit(AuditEvent.TASK_DENY, detail="d" * last_detail)
+        log = store.path / "audit.log"
+        assert log.stat().st_size > state._TAIL_BLOCK
+        expected = full_scan_tail(log)
+        assert expected[0] == record.seq
+        assert state._scan_audit_tail(log) == expected
+        store.close()
+        reloaded = SecureStateStore.load(store.path, durable=False)
+        try:
+            reloaded.append_audit(AuditEvent.TASK_DENY, reason="x")
+        finally:
+            reloaded.close()
+        assert check_audit_chain(store.path) == record.seq + 1
+
+    def test_unparseable_last_line_raises_the_same_error(self, store):
+        log = store.path / "audit.log"
+        with open(log, "ab") as fh:
+            fh.write(b"x" * (state._TAIL_BLOCK + 5) + b"\n")
+        expected = outcome(full_scan_tail, log)
+        assert expected.startswith("StateError: ")
+        assert outcome(state._scan_audit_tail, log) == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 200), st.binary(max_size=40)),
+                st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r\n"]),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.integers(1, 64),
+    )
+    def test_matches_full_scan_at_any_block_size(self, parts, ends_with_newline, block):
+        content = b""
+        for seq, (body, sep) in enumerate(parts, start=1):
+            if isinstance(body, int):
+                body = AuditRecord(
+                    seq=seq, time="2025-01-01T00:00:00.000Z",
+                    event=AuditEvent.TASK_DENY, detail="d" * body,
+                ).to_line()
+            content += body + sep
+        if content and not ends_with_newline:
+            content = content.rstrip(b"\r\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "audit.log"
+            log.write_bytes(content)
+            with mock.patch.object(state, "_TAIL_BLOCK", block):
+                assert outcome(state._scan_audit_tail, log) == outcome(full_scan_tail, log)
