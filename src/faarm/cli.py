@@ -14,26 +14,20 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import harness
 from .crypto import CryptoError, KeyPair, PublicKey, SignatureScheme, keygen
-from .harness import (
-    ALL_KINDS,
-    DEFAULT_MCU_ID,
+from .mcu import (
+    DEFAULT_CAPACITY,
     DEFAULT_NOMINAL_INIT_MS,
-    HarnessError,
-    LoaderMode,
-    Scenario,
-    ScenarioKind,
-    run_bench,
-    run_matrix,
+    LockMode,
+    McuRegion,
+    WriteOutcome,
 )
-from .mcu import DEFAULT_CAPACITY, LockMode, McuRegion, WriteOutcome
-from .monitor import Monitor, derive_status, replay_protocol_invariants
+from .monitor import Monitor, ScenarioKind, derive_status, replay_protocol_invariants
 from .packaging import (
+    DEFAULT_MCU_ID,
     FLAG_REQUIRES_LOCK,
     BundleError,
     FirmwarePackage,
@@ -46,6 +40,7 @@ from .state import (
     StateError,
     check_audit_chain,
     read_audit,
+    read_audit_tail,
     read_state,
 )
 
@@ -256,9 +251,10 @@ def cmd_log(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.tail is not None and args.tail < 0:
         raise CliError(f"-n must be a non-negative record count, got {args.tail}")
-    records = read_audit(state_dir)
-    if args.tail is not None:
-        records = records[max(len(records) - args.tail, 0) :]
+    if args.tail is None:
+        records = read_audit(state_dir)
+    else:
+        records = read_audit_tail(state_dir, args.tail)
     for record in records:
         if args.json:
             print(record.to_line().decode("utf-8"))
@@ -276,24 +272,34 @@ def cmd_log(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The harness is imported only by the commands that run it, so that a
+# `faarm verify` process does not load (and compile) it on the boot path.
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
+    from . import harness
+    from .harness import LoaderMode
+
     if args.scenario:
         kinds = [ScenarioKind(s) for s in args.scenario]
     else:
-        kinds = list(ALL_KINDS)
+        kinds = list(harness.ALL_KINDS)
     if args.mode == "both":
         modes = [LoaderMode.BASELINE, LoaderMode.FAARM]
     else:
         modes = [LoaderMode(args.mode)]
-    reports = run_matrix(
-        kinds=kinds,
-        modes=modes,
-        trials=args.trials,
-        seed=args.seed,
-        lock_mode=LockMode(args.lock_mode),
-        firmware_size=args.firmware_size,
-        scheme=SignatureScheme.from_name(args.scheme),
-    )
+    try:
+        reports = harness.run_matrix(
+            kinds=kinds,
+            modes=modes,
+            trials=args.trials,
+            seed=args.seed,
+            lock_mode=LockMode(args.lock_mode),
+            firmware_size=args.firmware_size,
+            scheme=SignatureScheme.from_name(args.scheme),
+        )
+    except harness.HarnessError as exc:
+        raise CliError(str(exc)) from None
     config = asdict(_config(args))
     config.update({"trials": args.trials, "firmware_size": args.firmware_size,
                    "scheme": args.scheme})
@@ -314,15 +320,20 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    result = run_bench(
-        firmware_size=args.size,
-        runs=args.runs,
-        warmup=args.warmup,
-        seed=args.seed,
-        scheme=SignatureScheme.from_name(args.scheme),
-        lock_mode=LockMode(args.lock_mode),
-        nominal_init_ms=args.nominal_init_ms,
-    )
+    from . import harness
+
+    try:
+        result = harness.run_bench(
+            firmware_size=args.size,
+            runs=args.runs,
+            warmup=args.warmup,
+            seed=args.seed,
+            scheme=SignatureScheme.from_name(args.scheme),
+            lock_mode=LockMode(args.lock_mode),
+            nominal_init_ms=args.nominal_init_ms,
+        )
+    except harness.HarnessError as exc:
+        raise CliError(str(exc)) from None
     if args.csv:
         Path(args.csv).write_text(harness.bench_csv(result))
     if args.json:
@@ -334,6 +345,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from .harness import HARNESS_TIMESTAMP
+
     scheme = SignatureScheme.from_name(args.scheme)
     rng_fw = bytes(range(256)) * 16  # 4 KiB deterministic image
     pair = keygen(scheme, seed=2024, allow_seeded=True)
@@ -359,7 +374,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
             good = build_package(
                 rng_fw, version=1, mcu_id=args.mcu_id, key=pair,
-                timestamp=harness.HARNESS_TIMESTAMP,
+                timestamp=HARNESS_TIMESTAMP,
             )
             bad_image = FirmwarePackage(bytes(tampered), good.manifest, good.signature)
             result = monitor.verify_and_lock(bad_image)
@@ -371,7 +386,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             forged = build_package(
                 bytes(tampered), version=1, mcu_id=args.mcu_id,
                 key=keygen(scheme, seed=999, allow_seeded=True),
-                timestamp=harness.HARNESS_TIMESTAMP,
+                timestamp=HARNESS_TIMESTAMP,
             )
             result = monitor.verify_and_lock(forged)
             print(
@@ -390,7 +405,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
             stale = build_package(
                 rng_fw, version=1, mcu_id=args.mcu_id, key=pair,
-                timestamp=harness.HARNESS_TIMESTAMP,
+                timestamp=HARNESS_TIMESTAMP,
             )
             result = monitor.verify_and_lock(stale)
             print(
@@ -529,7 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         StateError,
         BundleError,
         ManifestError,
-        HarnessError,
         OSError,
         ValueError,
     ) as exc:

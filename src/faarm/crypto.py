@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519
 from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature,
@@ -114,6 +114,9 @@ class Signature:
 class PublicKey:
     scheme: SignatureScheme
     data: bytes
+    # the decoded key, built once here (which also validates the point) and
+    # reused by every verify(); not part of equality, hash or repr
+    _handle: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
@@ -124,7 +127,7 @@ class PublicKey:
                 f"{self.scheme.value} public key must be {expected} bytes, got {len(self.data)}"
             )
         try:
-            _public_handle(self)
+            object.__setattr__(self, "_handle", _public_handle(self.scheme, self.data))
         except ValueError as exc:
             raise CryptoError(f"undecodable {self.scheme.value} public key") from exc
 
@@ -182,6 +185,9 @@ def keygen(
     """
     if seed is not None and not allow_seeded:
         raise CryptoError("seeded keygen is a test-fixture facility; refusing seed")
+    # imported here, not at module level: the verify path never serializes keys
+    from cryptography.hazmat.primitives import serialization
+
     if scheme is SignatureScheme.ED25519:
         if seed is None:
             handle = ed25519.Ed25519PrivateKey.generate()
@@ -232,13 +238,12 @@ def verify(key: PublicKey, payload: bytes, sig: Signature | bytes) -> bool:
     if len(raw) != SIGNATURE_SIZE:
         return False
     try:
-        handle = _public_handle(key)
         if key.scheme is SignatureScheme.ED25519:
-            handle.verify(raw, payload)
+            key._handle.verify(raw, payload)
         else:
             r = int.from_bytes(raw[:32], "big")
             s = int.from_bytes(raw[32:], "big")
-            handle.verify(encode_dss_signature(r, s), payload, ec.ECDSA(hashes.SHA256()))
+            key._handle.verify(encode_dss_signature(r, s), payload, ec.ECDSA(hashes.SHA256()))
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -255,6 +260,8 @@ def _seed_material(scheme: SignatureScheme, seed: int | bytes) -> bytes:
 
 
 def _public_from_private(scheme: SignatureScheme, secret: bytes) -> PublicKey:
+    from cryptography.hazmat.primitives import serialization
+
     if scheme is SignatureScheme.ED25519:
         pub = ed25519.Ed25519PrivateKey.from_private_bytes(secret).public_key()
         data = pub.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
@@ -269,7 +276,7 @@ def _public_from_private(scheme: SignatureScheme, secret: bytes) -> PublicKey:
     return PublicKey(scheme, data)
 
 
-def _public_handle(key: PublicKey):
-    if key.scheme is SignatureScheme.ED25519:
-        return ed25519.Ed25519PublicKey.from_public_bytes(key.data)
-    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), key.data)
+def _public_handle(scheme: SignatureScheme, data: bytes):
+    if scheme is SignatureScheme.ED25519:
+        return ed25519.Ed25519PublicKey.from_public_bytes(data)
+    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), data)

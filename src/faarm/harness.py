@@ -29,12 +29,24 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .crypto import KeyPair, Signature, SignatureScheme, hash_data, keygen
-from .mcu import DEFAULT_CAPACITY, HookPoint, LockMode, McuRegion, WriteOutcome
-from .monitor import Monitor, VerifyResult
-from .packaging import FLAG_REQUIRES_LOCK, FirmwarePackage, Manifest, build_package
+from .mcu import (
+    DEFAULT_CAPACITY,
+    DEFAULT_NOMINAL_INIT_MS,
+    HookPoint,
+    LockMode,
+    McuRegion,
+    WriteOutcome,
+)
+from .monitor import Monitor, ScenarioKind, VerifyResult
+from .packaging import (
+    DEFAULT_MCU_ID,
+    FLAG_REQUIRES_LOCK,
+    FirmwarePackage,
+    Manifest,
+    build_package,
+)
 from .state import AuditEvent, SecureStateStore, read_audit
 
-DEFAULT_MCU_ID = "MALI-MCU-XYZ"
 HARNESS_TIMESTAMP = "2025-01-01T00:00:00Z"
 
 # Reference prototype timings used for side-by-side comparison in bench
@@ -49,19 +61,10 @@ REFERENCE_LATENCY_MS = {
     "total_std_ms": 0.06,
     "runs": 100,
 }
-DEFAULT_NOMINAL_INIT_MS = 100.0
 
 
 class HarnessError(Exception):
     pass
-
-
-class ScenarioKind(Enum):
-    SIGNED_GOOD = "signed-good"
-    TAMPER_BEFORE_VERIFY = "tamper-before-verify"
-    TOCTOU_OVERWRITE = "toctou-overwrite"
-    UNSIGNED_LOAD = "unsigned-load"
-    ROLLBACK_LOAD = "rollback-load"
 
 
 class LoaderMode(Enum):

@@ -72,6 +72,17 @@ class RejectionReason(Enum):
     MALFORMED_BUNDLE = "malformed-bundle"
 
 
+class ScenarioKind(Enum):
+    """The adversarial scenarios the harness runs against this protocol; kept
+    here so the CLI can offer them without importing the harness."""
+
+    SIGNED_GOOD = "signed-good"
+    TAMPER_BEFORE_VERIFY = "tamper-before-verify"
+    TOCTOU_OVERWRITE = "toctou-overwrite"
+    UNSIGNED_LOAD = "unsigned-load"
+    ROLLBACK_LOAD = "rollback-load"
+
+
 EXIT_SUCCESS = 0
 EXIT_CODES: dict[RejectionReason, int] = {
     RejectionReason.BAD_SIGNATURE: 10,

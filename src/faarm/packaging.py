@@ -11,6 +11,7 @@ malleability in one check.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -27,6 +28,7 @@ from .crypto import (
     signing_payload,
 )
 
+DEFAULT_MCU_ID = "MALI-MCU-XYZ"
 MANIFEST_KEYS = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 FLAG_REQUIRES_LOCK = "requires_lock"
 MAX_MANIFEST_BYTES = 64 * 1024
@@ -235,23 +237,7 @@ def read_bundle(path: str | Path) -> FirmwarePackage:
         manifest_raw = parts[MANIFEST_NAME]
         signature_raw = parts[SIGNATURE_NAME]
     elif path.is_file():
-        blob = path.read_bytes()
-        if len(blob) < len(PKG_MAGIC) or blob[: len(PKG_MAGIC)] != PKG_MAGIC:
-            raise BundleError("container", "bad magic; not a firmware package container")
-        offset = len(PKG_MAGIC)
-        sections = []
-        for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
-            if offset + _PKG_LEN.size > len(blob):
-                raise BundleError(name, "container truncated in length header")
-            (length,) = _PKG_LEN.unpack_from(blob, offset)
-            offset += _PKG_LEN.size
-            if offset + length > len(blob):
-                raise BundleError(name, "container truncated in section body")
-            sections.append(blob[offset : offset + length])
-            offset += length
-        if offset != len(blob):
-            raise BundleError("container", f"{len(blob) - offset} trailing bytes")
-        firmware, manifest_raw, signature_raw = sections
+        firmware, manifest_raw, signature_raw = _read_container(path)
     else:
         raise BundleError("bundle", f"no such bundle: {path}")
 
@@ -261,3 +247,29 @@ def read_bundle(path: str | Path) -> FirmwarePackage:
         raise BundleError(SIGNATURE_NAME, f"must be {SIGNATURE_SIZE} bytes, got {len(signature_raw)}")
     manifest = parse_manifest(manifest_raw)
     return FirmwarePackage(firmware, manifest, Signature(signature_raw, None))
+
+
+def _read_container(path: Path) -> list[bytes]:
+    """The three sections of a .pkg container, each read straight from the
+    file so the image is held once. Every length header is checked against
+    the bytes left in the file before its section is read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(PKG_MAGIC)) != PKG_MAGIC:
+            raise BundleError("container", "bad magic; not a firmware package container")
+        offset = len(PKG_MAGIC)
+        sections = []
+        for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
+            header = fh.read(_PKG_LEN.size) if size - offset >= _PKG_LEN.size else b""
+            if len(header) != _PKG_LEN.size:
+                raise BundleError(name, "container truncated in length header")
+            (length,) = _PKG_LEN.unpack(header)
+            offset += _PKG_LEN.size
+            body = fh.read(length) if length <= size - offset else b""
+            if len(body) != length:
+                raise BundleError(name, "container truncated in section body")
+            sections.append(body)
+            offset += length
+        if offset != size:
+            raise BundleError("container", f"{size - offset} trailing bytes")
+    return sections

@@ -353,6 +353,12 @@ def read_audit(path: str | Path) -> list[AuditRecord]:
     return records
 
 
+def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
+    """The last n records of the audit log, oldest first, without reading the
+    rest of it; equal to read_audit(path)[-n:] for n >= 1 on a well-formed log."""
+    return [AuditRecord.from_line(line) for line in _tail_lines(Path(path) / AUDIT_NAME, n)]
+
+
 def check_audit_chain(path: str | Path) -> int:
     """Walk the full hash chain; returns the record count, raises
     AuditChainError at the first broken link, gap, or malformed line."""
@@ -421,27 +427,43 @@ def _write_state_atomic(path: Path, anchor: PublicKey, nv: int, durable: bool) -
 
 def _scan_audit_tail(audit_path: Path) -> tuple[int, str]:
     """(seq, line hash) of the last non-empty line of the audit log, or
-    (0, GENESIS_HASH) when there is none. Reads backwards from the end in
-    blocks until a whole line is in hand, so the cost does not grow with the
-    log. Lines end at LF or CR, as with bytes.splitlines()."""
-    if not audit_path.exists():
+    (0, GENESIS_HASH) when there is none."""
+    lines = _tail_lines(audit_path, 1)
+    if not lines:
         return 0, GENESIS_HASH
+    return AuditRecord.from_line(lines[0]).seq, _line_hash(lines[0])
+
+
+def _tail_lines(audit_path: Path, n: int) -> list[bytes]:
+    """The last n non-empty lines of the audit log, oldest first. Reads
+    backwards from the end in blocks until n whole lines are in hand, so the
+    cost grows with n, not with the log. Lines end at LF or CR, as with
+    bytes.splitlines(); a CRLF split across two blocks only yields an empty
+    line, which is skipped like any other."""
+    if n <= 0 or not audit_path.exists():
+        return []
+    groups: list[list[bytes]] = []  # whole lines per block, newest block first
+    found = 0
     with open(audit_path, "rb") as fh:
         pos = fh.seek(0, os.SEEK_END)
-        tail = b""
-        while True:
-            body = tail.rstrip(b"\r\n")
-            start = max(body.rfind(b"\n"), body.rfind(b"\r")) + 1
-            if start > 0 or pos == 0:
-                break
+        pending = b""  # bytes before the first line end seen so far
+        while pos > 0 and found < n:
             step = min(_TAIL_BLOCK, pos)
             pos -= step
             fh.seek(pos)
-            tail = fh.read(step) + tail
-    last_line = body[start:]
-    if not last_line:
-        return 0, GENESIS_HASH
-    return AuditRecord.from_line(last_line).seq, _line_hash(last_line)
+            buf = fh.read(step) + pending
+            ends = [i for i in (buf.find(b"\n"), buf.find(b"\r")) if i >= 0]
+            if not ends:
+                pending = buf
+                continue
+            cut = min(ends)
+            pending, whole = buf[:cut], buf[cut:]
+            lines = [line for line in whole.splitlines() if line]
+            groups.append(lines)
+            found += len(lines)
+        if pos == 0 and pending:
+            groups.append([pending])
+    return [line for lines in reversed(groups) for line in lines][-n:]
 
 
 def _archive_existing(path: Path) -> Path:

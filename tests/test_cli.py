@@ -1,10 +1,16 @@
+import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, main, parse_size
+from faarm import harness
+from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
 
 FW = bytes((i * 37) % 256 for i in range(4096))
 
@@ -216,6 +222,12 @@ class TestStatusAndLog:
         assert len(tail.out.strip().splitlines()) == 1
         assert "VERIFY_ACCEPT" in tail.out
         assert cli("log", "--state", str(workshop["state"]), "-n", "0").out == ""
+        full = out.out.splitlines()
+        with mock.patch("faarm.cli.read_audit", side_effect=AssertionError("full read")):
+            tail = cli("log", "--state", str(workshop["state"]), "-n", "2")
+            assert tail.out.splitlines() == full[-2:]
+            many = cli("log", "--state", str(workshop["state"]), "-n", "99")
+            assert many.out.splitlines() == full
         bad = cli("log", "--state", str(workshop["state"]), "-n", "-1", expect=2)
         assert "-n" in bad.err
 
@@ -310,3 +322,57 @@ class TestErrorSurface:
 
     def test_default_state_dir_constant(self):
         assert DEFAULT_STATE_DIR == "./faarm-state"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process with only src/ on PYTHONPATH;
+    in-process tests cannot see lazy imports, since pytest already loaded
+    the harness."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def subcommand(name: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+class TestFreshProcess:
+    def test_importing_the_cli_loads_no_harness_or_key_serialization(self):
+        # compare with the modules loaded before the import: site hooks
+        # (.pth files) may preload some of these names on their own
+        probe = (
+            "import json, sys; before = set(sys.modules); import faarm.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        done = run_fresh("-c", probe)
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout))
+        assert "faarm.cli" in loaded
+        for name in ("faarm.harness", "statistics", "tempfile",
+                     "cryptography.hazmat.primitives.serialization.ssh"):
+            assert name not in loaded
+
+    @pytest.mark.parametrize("argv", [["attack", "--trials", "0"], ["bench", "--runs", "0"]],
+                             ids=["attack", "bench"])
+    def test_harness_errors_are_usage_errors(self, argv):
+        done = run_fresh("-m", "faarm", *argv)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+
+    def test_parser_defaults_match_the_harness(self):
+        scenario = next(a for a in subcommand("attack")._actions if a.dest == "scenario")
+        assert scenario.choices == [k.value for k in harness.ScenarioKind]
+        for name in ("sign", "verify", "demo"):
+            assert subcommand(name).get_default("mcu_id") == harness.DEFAULT_MCU_ID
+        bench = subcommand("bench")
+        assert bench.get_default("nominal_init_ms") == harness.DEFAULT_NOMINAL_INIT_MS

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faarm import crypto
 from faarm.crypto import (
     DIGEST_SIZE,
     SIGNATURE_SIZE,
@@ -191,6 +194,22 @@ class TestSignVerify:
         pair = keygen(scheme, seed=19, allow_seeded=True)
         sig = sign(pair, b"payload")
         assert verify(pair.public, b"payload", sig.data + b"\x00") is False
+
+    def test_key_is_decoded_once_and_takes_no_part_in_identity(self, scheme):
+        pair = keygen(scheme, seed=22, allow_seeded=True)
+        key = PublicKey.from_file_bytes(pair.public.to_file_bytes())
+        assert key == pair.public and key is not pair.public
+        assert hash(key) == hash(pair.public) == hash((key.scheme, key.data))
+        assert repr(key) == f"PublicKey(scheme={key.scheme!r}, data={key.data!r})"
+        other = next(s for s in BOTH_SCHEMES if s is not scheme)
+        sig = sign(pair, b"payload")
+        # verify() must use the handle built with the key, never decode again
+        with mock.patch.object(crypto, "_public_handle", side_effect=AssertionError):
+            assert verify(key, b"payload", sig) is True
+            assert verify(key, b"payload", sig.data[:63]) is False
+            assert verify(key, b"payload", bytes(SIGNATURE_SIZE)) is False
+            assert verify(key, b"payload", b"\xff" * SIGNATURE_SIZE) is False
+            assert verify(key, b"payload", Signature(sig.data, other)) is False
 
 
 class TestSchemeDispatch:

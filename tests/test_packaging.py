@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -332,6 +334,54 @@ class TestBundles:
         path.write_bytes(blob[:-10])
         with pytest.raises(BundleError, match="truncated"):
             read_bundle(path)
+
+    def test_every_truncation_point_keeps_its_message(self, tmp_path, ed25519_key):
+        path = self.roundtrip(tmp_path, ed25519_key, "bundle.pkg")
+        blob = path.read_bytes()
+        manifest_len = len(blob) - 4 - 3 * 8 - 1024 - 64
+        expected = ["container: bad magic; not a firmware package container"] * 4
+        for name, length in (("firmware.bin", 1024), ("manifest.json", manifest_len),
+                             ("firmware.sig", 64)):
+            expected += [f"{name}: container truncated in length header"] * 8
+            expected += [f"{name}: container truncated in section body"] * length
+        assert len(expected) == len(blob)
+        for cut, message in enumerate(expected):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(BundleError) as err:
+                read_bundle(path)
+            assert str(err.value) == message, cut
+
+    @pytest.mark.parametrize("section", [0, 1, 2], ids=["firmware", "manifest", "signature"])
+    @pytest.mark.parametrize("length", [2**63, 2**64 - 1, 10**6])
+    def test_overlong_length_header_rejected_before_reading(
+        self, tmp_path, ed25519_key, section, length
+    ):
+        path = self.roundtrip(tmp_path, ed25519_key, "bundle.pkg")
+        blob = bytearray(path.read_bytes())
+        offset = 4
+        for _ in range(section):
+            (skip,) = struct.unpack_from("<Q", blob, offset)
+            offset += 8 + skip
+        struct.pack_into("<Q", blob, offset, length)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BundleError, match="truncated in section body"):
+            read_bundle(path)
+
+    def test_container_read_holds_the_image_once(self, tmp_path, ed25519_key):
+        fw = bytes(range(256)) * 4096  # 1 MiB
+        pkg = build_package(
+            fw, version=4, mcu_id=TEST_MCU_ID, key=ed25519_key, timestamp=TEST_TIMESTAMP
+        )
+        path = write_bundle(pkg, tmp_path / "big.pkg")
+        del pkg
+        tracemalloc.start()
+        try:
+            back = read_bundle(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.firmware == fw
+        assert peak <= 1.1 * len(fw)
 
     def test_trailing_garbage_rejected(self, tmp_path, ed25519_key):
         path = self.roundtrip(tmp_path, ed25519_key, "bundle.pkg")

@@ -20,6 +20,7 @@ from faarm.state import (
     StateLockError,
     check_audit_chain,
     read_audit,
+    read_audit_tail,
     read_state,
 )
 
@@ -318,6 +319,11 @@ def full_scan_tail(audit_path: Path) -> tuple[int, str]:
     return AuditRecord.from_line(lines[-1]).seq, hashlib.sha256(lines[-1]).hexdigest()
 
 
+def last(items: list, n: int) -> list:
+    """The last n items; none for n == 0 (unlike items[-0:])."""
+    return items[max(len(items) - n, 0) :]
+
+
 def outcome(scan, audit_path: Path):
     try:
         return scan(audit_path)
@@ -344,6 +350,9 @@ class TestAuditTail:
         expected = full_scan_tail(log)
         assert expected[0] == record.seq
         assert state._scan_audit_tail(log) == expected
+        records = read_audit(store.path)
+        for n in (0, 1, 5, len(records) + 3):
+            assert read_audit_tail(store.path, n) == last(records, n)
         store.close()
         reloaded = SecureStateStore.load(store.path, durable=False)
         try:
@@ -360,18 +369,18 @@ class TestAuditTail:
         assert expected.startswith("StateError: ")
         assert outcome(state._scan_audit_tail, log) == expected
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.one_of(st.integers(0, 200), st.binary(max_size=40)),
-                st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r\n"]),
-            ),
-            max_size=8,
+    log_parts = st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 200), st.binary(max_size=40)),
+            st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r\n"]),
         ),
-        st.booleans(),
-        st.integers(1, 64),
+        max_size=8,
     )
-    def test_matches_full_scan_at_any_block_size(self, parts, ends_with_newline, block):
+
+    @staticmethod
+    def log_content(parts, ends_with_newline: bool) -> bytes:
+        """Audit records (int: detail length) or raw garbage, joined by the
+        given line ends."""
         content = b""
         for seq, (body, sep) in enumerate(parts, start=1):
             if isinstance(body, int):
@@ -382,8 +391,29 @@ class TestAuditTail:
             content += body + sep
         if content and not ends_with_newline:
             content = content.rstrip(b"\r\n")
+        return content
+
+    @given(log_parts, st.booleans(), st.integers(1, 64))
+    def test_matches_full_scan_at_any_block_size(self, parts, ends_with_newline, block):
+        content = self.log_content(parts, ends_with_newline)
         with tempfile.TemporaryDirectory() as tmp:
             log = Path(tmp) / "audit.log"
             log.write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
                 assert outcome(state._scan_audit_tail, log) == outcome(full_scan_tail, log)
+
+    @given(log_parts, st.booleans(), st.integers(1, 64))
+    def test_last_n_records_match_a_full_read_at_any_block_size(
+        self, parts, ends_with_newline, block
+    ):
+        content = self.log_content(parts, ends_with_newline)
+        lines = [line for line in content.splitlines() if line]
+        all_records = all(isinstance(body, int) for body, _ in parts)
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "audit.log"
+            log.write_bytes(content)
+            with mock.patch.object(state, "_TAIL_BLOCK", block):
+                for n in (0, 1, 5, len(lines) + 1):
+                    assert state._tail_lines(log, n) == last(lines, n)
+                    if all_records:
+                        assert read_audit_tail(tmp, n) == last(read_audit(tmp), n)
