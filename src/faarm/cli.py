@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .crypto import CryptoError, KeyPair, PublicKey, SignatureScheme, keygen
 from .mcu import (
@@ -52,8 +52,7 @@ STATE_ENV_VAR = "FAARM_STATE_DIR"
 DEFAULT_STATE_DIR = "./faarm-state"
 
 
-@dataclass
-class CliConfig:
+class CliConfig(NamedTuple):
     """Effective run configuration, echoed into machine-readable reports."""
 
     state_dir: str
@@ -300,7 +299,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
     except harness.HarnessError as exc:
         raise CliError(str(exc)) from None
-    config = asdict(_config(args))
+    config = _config(args)._asdict()
     config.update({"trials": args.trials, "firmware_size": args.firmware_size,
                    "scheme": args.scheme})
     if args.csv:
@@ -337,7 +336,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text(harness.bench_csv(result))
     if args.json:
-        config = asdict(_config(args))
+        config = _config(args)._asdict()
         print(harness.bench_to_json(result, config=config), end="")
     else:
         print(harness.render_bench(result), end="")

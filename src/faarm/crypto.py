@@ -8,7 +8,6 @@ self-describing: a 1-byte scheme tag followed by the encoded key.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
 
 from cryptography.exceptions import InvalidSignature
@@ -61,17 +60,62 @@ _SCHEME_TAGS = {SignatureScheme.ECDSA_P256: 0x01, SignatureScheme.ED25519: 0x02}
 _PUBLIC_KEY_SIZES = {SignatureScheme.ECDSA_P256: 33, SignatureScheme.ED25519: 32}
 
 
-@dataclass(frozen=True)
-class Digest:
+class Frozen:
+    """Base of the validated value types. Each subclass lists its attributes
+    in __slots__ and the ones that make up its value in _fields; __init__
+    validates and sets them through object.__setattr__, after which the
+    instance refuses assignment and deletion. Equality is type-strict, and
+    hash and repr follow _fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        # __init__ takes the fields in _fields order, and re-validates them
+        return self.__class__, self._values()
+
+
+class Digest(Frozen):
     """A SHA-256 digest; always exactly 32 bytes."""
 
-    data: bytes
+    __slots__ = _fields = ("data",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
-        if len(self.data) != DIGEST_SIZE:
-            raise CryptoError(f"digest must be {DIGEST_SIZE} bytes, got {len(self.data)}")
+    def __init__(self, data: bytes) -> None:
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        if len(data) != DIGEST_SIZE:
+            raise CryptoError(f"digest must be {DIGEST_SIZE} bytes, got {len(data)}")
+        object.__setattr__(self, "data", data)
+
+    # compared on every load, so without the generic field walk
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data
+
+    def __hash__(self) -> int:
+        return hash((self.data,))
 
     @property
     def hex(self) -> str:
@@ -90,46 +134,45 @@ class Digest:
         return f"Digest({self.hex})"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """A raw 64-byte signature.
 
     scheme is None for signatures read back from bundle files, which carry no
     scheme tag; the verifying key's scheme decides how to interpret them.
     """
 
-    data: bytes
-    scheme: SignatureScheme | None = None
+    __slots__ = _fields = ("data", "scheme")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
-        if len(self.data) != SIGNATURE_SIZE:
+    def __init__(self, data: bytes, scheme: SignatureScheme | None = None) -> None:
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        if len(data) != SIGNATURE_SIZE:
+            raise CryptoError(f"signature must be {SIGNATURE_SIZE} bytes, got {len(data)}")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "scheme", scheme)
+
+
+class PublicKey(Frozen):
+    __slots__ = ("scheme", "data", "_handle")
+    # _handle is the decoded key, built once here (which also validates the
+    # point) and reused by every verify(); not part of equality, hash or repr
+    _fields = ("scheme", "data")
+
+    def __init__(self, scheme: SignatureScheme, data: bytes) -> None:
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        expected = scheme.public_key_size
+        if len(data) != expected:
             raise CryptoError(
-                f"signature must be {SIGNATURE_SIZE} bytes, got {len(self.data)}"
-            )
-
-
-@dataclass(frozen=True)
-class PublicKey:
-    scheme: SignatureScheme
-    data: bytes
-    # the decoded key, built once here (which also validates the point) and
-    # reused by every verify(); not part of equality, hash or repr
-    _handle: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
-        expected = self.scheme.public_key_size
-        if len(self.data) != expected:
-            raise CryptoError(
-                f"{self.scheme.value} public key must be {expected} bytes, got {len(self.data)}"
+                f"{scheme.value} public key must be {expected} bytes, got {len(data)}"
             )
         try:
-            object.__setattr__(self, "_handle", _public_handle(self.scheme, self.data))
+            handle = _public_handle(scheme, data)
         except ValueError as exc:
-            raise CryptoError(f"undecodable {self.scheme.value} public key") from exc
+            raise CryptoError(f"undecodable {scheme.value} public key") from exc
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_handle", handle)
 
     def to_file_bytes(self) -> bytes:
         return bytes([self.scheme.tag]) + self.data
@@ -142,11 +185,17 @@ class PublicKey:
         return cls(scheme, bytes(raw[1:]))
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    scheme: SignatureScheme
-    public: PublicKey
-    private: bytes = field(repr=False)
+class KeyPair(Frozen):
+    __slots__ = _fields = ("scheme", "public", "private")
+
+    def __init__(self, scheme: SignatureScheme, public: PublicKey, private: bytes) -> None:
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "public", public)
+        object.__setattr__(self, "private", private)
+
+    def __repr__(self) -> str:
+        # never the private key
+        return f"KeyPair(scheme={self.scheme!r}, public={self.public!r})"
 
     def to_file_bytes(self) -> bytes:
         return bytes([self.scheme.tag]) + self.private
@@ -160,6 +209,22 @@ class KeyPair:
         if len(secret) != 32:
             raise CryptoError(f"{scheme.value} private key must be 32 bytes, got {len(secret)}")
         return cls(scheme, _public_from_private(scheme, secret), secret)
+
+
+class _EcdsaSha256(ec.ECDSA):
+    """ECDSA with SHA-256 and random nonces, for verification. ec.ECDSA's own
+    __init__ only stores these two values, after importing cryptography's
+    OpenSSL backend (and with it the RSA, padding, cipher and decrepit
+    modules) to check RFC 6979 support, which verifying never needs."""
+
+    algorithm = hashes.SHA256()
+    deterministic_signing = False
+
+    def __init__(self) -> None:
+        pass
+
+
+_ECDSA_SHA256 = _EcdsaSha256()
 
 
 def hash_data(data: bytes) -> Digest:
@@ -243,7 +308,7 @@ def verify(key: PublicKey, payload: bytes, sig: Signature | bytes) -> bool:
         else:
             r = int.from_bytes(raw[:32], "big")
             s = int.from_bytes(raw[32:], "big")
-            key._handle.verify(encode_dss_signature(r, s), payload, ec.ECDSA(hashes.SHA256()))
+            key._handle.verify(encode_dss_signature(r, s), payload, _ECDSA_SHA256)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -22,9 +22,8 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .crypto import Digest, hash_data
 
@@ -70,8 +69,7 @@ class HookPoint(Enum):
     POST_LOCK = "post-lock"
 
 
-@dataclass(frozen=True)
-class RegionSnapshot:
+class RegionSnapshot(NamedTuple):
     content: bytes
     lock_state: LockState
     running_digest: Digest | None

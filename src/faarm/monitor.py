@@ -27,10 +27,9 @@ from __future__ import annotations
 import secrets
 import threading
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .crypto import CryptoError, Digest, hash_data, signing_payload, verify
 from .mcu import HookPoint, LockEngageError, LockState, McuRegion
@@ -95,8 +94,7 @@ EXIT_CODES: dict[RejectionReason, int] = {
 }
 
 
-@dataclass(frozen=True)
-class AuthToken:
+class AuthToken(NamedTuple):
     """Session-scoped capability bound to one accepted load."""
 
     token_id: str
@@ -104,15 +102,13 @@ class AuthToken:
     digest_hex: str
 
 
-@dataclass(frozen=True)
-class StageTimings:
+class StageTimings(NamedTuple):
     verify_ms: float
     lock_ms: float
     total_ms: float
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     accepted: bool
     reason: RejectionReason | None
     detail: str | None
@@ -129,15 +125,13 @@ class VerifyResult:
         return EXIT_CODES[self.reason]
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     admitted: bool
     reason: str | None
     digest_hex: str | None
 
 
-@dataclass(frozen=True)
-class MonitorStatus:
+class MonitorStatus(NamedTuple):
     phase: Phase
     current_version: int | None
     current_digest: Digest | None

@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .crypto import (
     SIGNATURE_SIZE,
     CryptoError,
     Digest,
+    Frozen,
     KeyPair,
     Signature,
     hash_data,
@@ -70,34 +71,40 @@ def _validate_timestamp(value: object) -> None:
         raise ManifestError("timestamp", "must carry an explicit UTC offset")
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(Frozen):
     """Firmware metadata; the unit that gets canonically serialized and signed.
 
     flags is a set-like tuple: construction sorts it and drops duplicates so
     that equal flag sets always canonicalize to identical bytes.
     """
 
-    version: int
-    mcu_id: str
-    timestamp: str
-    firmware_hash: Digest
-    flags: tuple[str, ...] = ()
+    __slots__ = _fields = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.version, bool) or not isinstance(self.version, int):
+    def __init__(
+        self,
+        version: int,
+        mcu_id: str,
+        timestamp: str,
+        firmware_hash: Digest,
+        flags: tuple[str, ...] = (),
+    ) -> None:
+        if isinstance(version, bool) or not isinstance(version, int):
             raise ManifestError("version", "must be an integer")
-        if self.version < 1:
-            raise ManifestError("version", f"must be >= 1, got {self.version}")
-        if not isinstance(self.mcu_id, str) or not self.mcu_id:
+        if version < 1:
+            raise ManifestError("version", f"must be >= 1, got {version}")
+        if not isinstance(mcu_id, str) or not mcu_id:
             raise ManifestError("mcu_id", "must be a non-empty string")
-        _validate_timestamp(self.timestamp)
-        if not isinstance(self.firmware_hash, Digest):
+        _validate_timestamp(timestamp)
+        if not isinstance(firmware_hash, Digest):
             raise ManifestError("firmware_hash", "must be a Digest")
-        flags = tuple(self.flags)
+        flags = tuple(flags)
         for flag in flags:
             if not isinstance(flag, str) or not flag:
                 raise ManifestError("flags", "every flag must be a non-empty string")
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "mcu_id", mcu_id)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "firmware_hash", firmware_hash)
         object.__setattr__(self, "flags", tuple(sorted(set(flags))))
 
 
@@ -153,8 +160,7 @@ def parse_manifest(raw: bytes) -> Manifest:
     return manifest
 
 
-@dataclass(frozen=True)
-class FirmwarePackage:
+class FirmwarePackage(NamedTuple):
     """A firmware image plus its manifest and detached signature."""
 
     firmware: bytes

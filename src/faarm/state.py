@@ -13,7 +13,10 @@ Layout inside a state directory:
 Ordering discipline: audit records are flushed before the operation that
 produced them reports completion, and the VERIFY_ACCEPT record is written
 before the counter commit, so a crash at any boundary leaves the counter at
-the last committed accept while the log still shows the attempt.
+the last committed accept while the log still shows the attempt. load()
+redoes what such a crash cut short: it commits a last VERIFY_ACCEPT that is
+above the counter, and cuts off a torn last line, appending a RECOVER record
+for each repair.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .crypto import PublicKey
 
@@ -69,13 +71,13 @@ class AuditEvent(Enum):
     SESSION_RECHECK = "SESSION_RECHECK"
     TASK_ADMIT = "TASK_ADMIT"
     TASK_DENY = "TASK_DENY"
+    RECOVER = "RECOVER"
 
 
 _RECORD_KEYS = ("seq", "time", "event", "version", "reason", "digest", "detail", "prev")
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     seq: int
     time: str
     event: AuditEvent
@@ -208,15 +210,21 @@ class SecureStateStore:
         lock_fd = _acquire_lock(path)
         try:
             anchor, nv = read_state(path)
-            last_seq, last_hash = _scan_audit_tail(path / AUDIT_NAME)
+            last, last_hash, torn = _scan_audit_tail(path / AUDIT_NAME)
             audit_fh = open(path / AUDIT_NAME, "ab")
         except BaseException:
             _release_lock(lock_fd)
             raise
-        return cls(
-            _path=path, _anchor=anchor, _nv=nv, _last_seq=last_seq, _last_hash=last_hash,
-            _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
+        store = cls(
+            _path=path, _anchor=anchor, _nv=nv, _last_seq=last.seq if last is not None else 0,
+            _last_hash=last_hash, _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
         )
+        try:
+            store._recover(last, torn)
+        except BaseException:
+            store.close()
+            raise
+        return store
 
     @staticmethod
     def is_provisioned(path: str | Path) -> bool:
@@ -323,6 +331,35 @@ class SecureStateStore:
         if self.crash_hook is not None:
             self.crash_hook(boundary)
 
+    def _recover(self, last: AuditRecord | None, torn: int) -> None:
+        """Repair what a crash left, given the last whole record and the
+        length of the unterminated bytes after it. Torn bytes (a write that
+        died before its line end, so its operation never completed) are cut
+        off. A last VERIFY_ACCEPT above the counter (a crash before its
+        commit) is committed, since the log is write-ahead and that version
+        passed every gate. The commit comes before the RECOVER records, so a
+        crash in here cannot leave the log ahead of the counter either."""
+        if torn:
+            self._audit_fh.truncate(self._audit_fh.seek(0, os.SEEK_END) - torn)
+        counter = self._nv
+        roll_forward = (
+            last is not None
+            and last.event is AuditEvent.VERIFY_ACCEPT
+            and self.check_version(last.version)
+        )
+        if roll_forward:
+            self.commit_version(last.version)
+        if torn:
+            self.append_audit(
+                AuditEvent.RECOVER, detail=f"truncated a torn last line of {torn} bytes"
+            )
+        if roll_forward:
+            self.append_audit(
+                AuditEvent.RECOVER, version=last.version, digest=last.digest,
+                detail=f"committed the logged accept of version {last.version} "
+                f"over counter {counter}",
+            )
+
 
 # -- reader-side helpers (no writer lock required) ---------------------------
 
@@ -425,25 +462,38 @@ def _write_state_atomic(path: Path, anchor: PublicKey, nv: int, durable: bool) -
             os.close(dir_fd)
 
 
-def _scan_audit_tail(audit_path: Path) -> tuple[int, str]:
-    """(seq, line hash) of the last non-empty line of the audit log, or
-    (0, GENESIS_HASH) when there is none."""
-    lines = _tail_lines(audit_path, 1)
+def _scan_audit_tail(audit_path: Path) -> tuple[AuditRecord | None, str, int]:
+    """The last whole record of the audit log with its line hash, or (None,
+    GENESIS_HASH) when there is none, and the length of the unterminated
+    bytes after it (0 when the log ends in a line end or is missing)."""
+    lines, torn = _tail(audit_path, 1)
     if not lines:
-        return 0, GENESIS_HASH
-    return AuditRecord.from_line(lines[0]).seq, _line_hash(lines[0])
+        return None, GENESIS_HASH, len(torn)
+    return AuditRecord.from_line(lines[0]), _line_hash(lines[0]), len(torn)
 
 
 def _tail_lines(audit_path: Path, n: int) -> list[bytes]:
-    """The last n non-empty lines of the audit log, oldest first. Reads
-    backwards from the end in blocks until n whole lines are in hand, so the
-    cost grows with n, not with the log. Lines end at LF or CR, as with
-    bytes.splitlines(); a CRLF split across two blocks only yields an empty
-    line, which is skipped like any other."""
-    if n <= 0 or not audit_path.exists():
+    """The last n non-empty lines of the audit log, oldest first, an
+    unterminated last line included."""
+    if n <= 0:
         return []
+    lines, torn = _tail(audit_path, n)
+    return (lines + [torn] if torn else lines)[-n:]
+
+
+def _tail(audit_path: Path, n: int) -> tuple[list[bytes], bytes]:
+    """The last n >= 1 non-empty lines of the audit log that end in a line
+    end, oldest first, and the unterminated bytes after the last line end
+    (b"" when the log ends in one). Reads backwards from the end in blocks
+    until n such lines are in hand, so the cost grows with n, not with the
+    log. Lines end at LF or CR, as with bytes.splitlines(); a CRLF split
+    across two blocks only yields an empty line, which is skipped like any
+    other."""
+    if not audit_path.exists():
+        return [], b""
     groups: list[list[bytes]] = []  # whole lines per block, newest block first
     found = 0
+    torn: bytes | None = None  # set at the first block holding a line end
     with open(audit_path, "rb") as fh:
         pos = fh.seek(0, os.SEEK_END)
         pending = b""  # bytes before the first line end seen so far
@@ -456,14 +506,19 @@ def _tail_lines(audit_path: Path, n: int) -> list[bytes]:
             if not ends:
                 pending = buf
                 continue
+            if torn is None:
+                last_end = max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1
+                torn, buf = buf[last_end:], buf[:last_end]
             cut = min(ends)
             pending, whole = buf[:cut], buf[cut:]
             lines = [line for line in whole.splitlines() if line]
             groups.append(lines)
             found += len(lines)
+        if torn is None:  # no line end anywhere: the whole log is one torn line
+            return [], pending
         if pos == 0 and pending:
             groups.append([pending])
-    return [line for lines in reversed(groups) for line in lines][-n:]
+    return [line for lines in reversed(groups) for line in lines][-n:], torn
 
 
 def _archive_existing(path: Path) -> Path:

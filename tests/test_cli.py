@@ -346,21 +346,52 @@ def subcommand(name: str) -> argparse.ArgumentParser:
     return action.choices[name]
 
 
+def modules_added_by_importing_the_cli() -> set[str]:
+    # compare with the modules loaded before the import: site hooks (.pth
+    # files) may preload some of the names the tests look for on their own
+    probe = (
+        "import json, sys; before = set(sys.modules); import faarm.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    done = run_fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "faarm.cli" in loaded
+    return loaded
+
+
 class TestFreshProcess:
     def test_importing_the_cli_loads_no_harness_or_key_serialization(self):
-        # compare with the modules loaded before the import: site hooks
-        # (.pth files) may preload some of these names on their own
-        probe = (
-            "import json, sys; before = set(sys.modules); import faarm.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))"
-        )
-        done = run_fresh("-c", probe)
-        assert done.returncode == 0, done.stderr
-        loaded = set(json.loads(done.stdout))
-        assert "faarm.cli" in loaded
+        loaded = modules_added_by_importing_the_cli()
         for name in ("faarm.harness", "statistics", "tempfile",
                      "cryptography.hazmat.primitives.serialization.ssh"):
             assert name not in loaded
+
+    def test_importing_the_cli_loads_no_dataclasses_or_inspect(self):
+        loaded = modules_added_by_importing_the_cli()
+        assert not {"dataclasses", "inspect"} & loaded
+
+    def test_ecdsa_verify_accepts_without_the_openssl_backend(self, cli, tmp_path):
+        # in-process runs cannot see this: sign() loads the backend first
+        (tmp_path / "fw.bin").write_bytes(FW)
+        cli("keygen", "ecdsa-p256", "--out", str(tmp_path / "v"))
+        cli("sign", "--firmware", str(tmp_path / "fw.bin"), "--version", "1",
+            "--key", str(tmp_path / "v.key"), "--out", str(tmp_path / "b"))
+        cli("provision", "--anchor", str(tmp_path / "v.pub"), "--state", str(tmp_path / "s"))
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "import contextlib, io, json, sys\n"
+            "from faarm.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, json.loads(out.getvalue())['accepted'],\n"
+            "                  'cryptography.hazmat.backends.openssl' in sys.modules]))\n"
+        )
+        done = run_fresh(str(probe), "verify", str(tmp_path / "b"),
+                         "--state", str(tmp_path / "s"), "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, True, False]
 
     @pytest.mark.parametrize("argv", [["attack", "--trials", "0"], ["bench", "--runs", "0"]],
                              ids=["attack", "bench"])

@@ -1,6 +1,12 @@
+import copy
+import pickle
 from unittest import mock
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -229,3 +235,122 @@ class TestSchemeDispatch:
     def test_signature_type_enforces_64_bytes(self):
         with pytest.raises(CryptoError):
             Signature(b"\x00" * 63)
+
+
+P256_ORDER = crypto._P256_ORDER
+P256_PAIR = keygen(SignatureScheme.ECDSA_P256, seed=23, allow_seeded=True)
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    kind, value = mutation
+    if kind == "flip":
+        pos, xor = value
+        return raw[:pos] + bytes([raw[pos] ^ xor]) + raw[pos + 1 :]
+    if kind == "scalar":  # r or s replaced by an edge value of the group
+        half, scalar = value
+        part = (scalar % 2**256).to_bytes(32, "big")
+        return part + raw[32:] if half == 0 else raw[:32] + part
+    if kind == "random":
+        return value
+    return raw
+
+
+mutations = st.one_of(
+    st.just(("none", None)),
+    st.tuples(st.just("flip"), st.tuples(st.integers(0, 63), st.integers(1, 255))),
+    st.tuples(
+        st.just("scalar"),
+        st.tuples(st.integers(0, 1), st.sampled_from([0, 1, P256_ORDER - 1, P256_ORDER,
+                                                      P256_ORDER + 1, 2**256 - 1])),
+    ),
+    st.tuples(st.just("random"), st.binary(min_size=SIGNATURE_SIZE, max_size=SIGNATURE_SIZE)),
+)
+
+
+class TestEcdsaVerifyObject:
+    @given(st.binary(max_size=300), st.one_of(st.none(), st.binary(max_size=300)), mutations)
+    def test_verify_agrees_with_the_library_default_ecdsa(self, signed, other, mutation):
+        checked = signed if other is None else other
+        raw = _mutate(sign(P256_PAIR, signed).data, mutation)
+        r = int.from_bytes(raw[:32], "big")
+        s = int.from_bytes(raw[32:], "big")
+        try:
+            P256_PAIR.public._handle.verify(
+                encode_dss_signature(r, s), checked, ec.ECDSA(hashes.SHA256())
+            )
+            expected = True
+        except (InvalidSignature, ValueError):
+            expected = False
+        assert verify(P256_PAIR.public, checked, raw) is expected
+        if mutation[0] == "none":
+            assert expected is (signed == checked)
+
+
+def _value_types():
+    """(instance, a fresh equal instance, its fields by name in order,
+    expected repr) for each validated value type."""
+    from faarm.packaging import Manifest
+
+    digest = hash_data(b"v")
+    sig = Signature(bytes(range(64)))
+    pub = P256_PAIR.public
+    manifest_args = (3, "MCU", "2025-01-01T00:00:00Z", digest, ("b", "a"))
+    manifest = Manifest(*manifest_args)
+    return {
+        "Digest": (digest, Digest(bytes(digest.data)), {"data": digest.data},
+                   f"Digest({digest.hex})"),
+        "Signature": (sig, Signature(bytearray(sig.data)),
+                      {"data": sig.data, "scheme": None},
+                      f"Signature(data={sig.data!r}, scheme=None)"),
+        "PublicKey": (pub, PublicKey.from_file_bytes(pub.to_file_bytes()),
+                      {"scheme": pub.scheme, "data": pub.data},
+                      f"PublicKey(scheme={pub.scheme!r}, data={pub.data!r})"),
+        "KeyPair": (P256_PAIR, KeyPair.from_file_bytes(P256_PAIR.to_file_bytes()),
+                    {"scheme": P256_PAIR.scheme, "public": pub, "private": P256_PAIR.private},
+                    f"KeyPair(scheme={P256_PAIR.scheme!r}, public={pub!r})"),
+        "Manifest": (manifest, Manifest(*manifest_args),
+                     {"version": 3, "mcu_id": "MCU", "timestamp": "2025-01-01T00:00:00Z",
+                      "firmware_hash": digest, "flags": ("a", "b")},
+                     "Manifest(version=3, mcu_id='MCU', timestamp='2025-01-01T00:00:00Z', "
+                     f"firmware_hash={digest!r}, flags=('a', 'b'))"),
+    }
+
+
+VALUE_TYPES = ["Digest", "Signature", "PublicKey", "KeyPair", "Manifest"]
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+class TestValueTypeContract:
+    def test_immutable(self, name):
+        value, _, fields, _ = _value_types()[name]
+        for attr in (*fields, "_handle", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(value, attr)
+        assert {attr: getattr(value, attr) for attr in fields} == fields
+
+    def test_equality_hash_and_repr(self, name):
+        value, twin, fields, text = _value_types()[name]
+        values = tuple(fields.values())
+        assert {attr: getattr(value, attr) for attr in fields} == fields
+        assert value == twin and value is not twin
+        assert not value != twin
+        assert hash(value) == hash(twin) == hash(values)
+        # type-strict: never equal to a tuple of the same values
+        assert value != values and values != value
+        assert value != values[0]
+        assert repr(value) == text
+
+    def test_copy_and_pickle_keep_the_value(self, name):
+        value, _, _, _ = _value_types()[name]
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert clone == value and type(clone) is type(value)
+
+
+def test_key_pair_repr_never_shows_the_private_key():
+    pair = keygen(SignatureScheme.ED25519, seed=24, allow_seeded=True)
+    text = repr(pair) + str(pair)
+    assert "private" not in text
+    assert pair.private.hex() not in text and repr(pair.private) not in text

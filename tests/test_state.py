@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -225,7 +226,8 @@ class TestCrashWindows:
         store.crash_hook = hook
 
     def test_crash_between_accept_append_and_commit(self, tmp_path, ed25519_key):
-        # the write-ahead example: audit shows the attempt, counter unchanged
+        # the write-ahead example: audit shows the accept, counter behind it;
+        # load commits the logged accept and records that it did
         store = SecureStateStore.provision(
             ed25519_key.public, tmp_path / "s", durable=False
         )
@@ -234,15 +236,23 @@ class TestCrashWindows:
         with pytest.raises(Boom):
             store.commit_version(1)
         store.close()
+        assert read_state(tmp_path / "s")[1] == 0
 
         reloaded = SecureStateStore.load(tmp_path / "s", durable=False)
         try:
-            assert reloaded.nv_counter == 0
-            events = [r.event for r in reloaded.read_records()]
-            assert AuditEvent.VERIFY_ACCEPT in events
-            assert check_audit_chain(tmp_path / "s") == len(events)
+            assert reloaded.nv_counter == 1
+            records = reloaded.read_records()
+            assert [r.event for r in records] == [
+                AuditEvent.PROVISION, AuditEvent.VERIFY_ACCEPT, AuditEvent.RECOVER
+            ]
+            assert (records[-1].version, records[-1].digest) == (1, "aa" * 32)
+            assert check_audit_chain(tmp_path / "s") == 3
         finally:
             reloaded.close()
+        assert read_state(tmp_path / "s")[1] == 1
+        # a second load finds nothing left to repair
+        SecureStateStore.load(tmp_path / "s", durable=False).close()
+        assert check_audit_chain(tmp_path / "s") == 3
 
     def test_crash_before_audit_write_loses_only_that_record(self, tmp_path, ed25519_key):
         store = SecureStateStore.provision(
@@ -280,14 +290,103 @@ class TestCrashWindows:
 
         reloaded = SecureStateStore.load(tmp_path / "s", durable=False)
         try:
-            # retry after the transient failure: same version must still commit
-            assert reloaded.check_version(1)
-            reloaded.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="aa" * 32)
-            reloaded.commit_version(1)
+            # load committed the logged accept, so retrying it is a rollback
             assert reloaded.nv_counter == 1
+            assert not reloaded.check_version(1)
+            reloaded.append_audit(AuditEvent.VERIFY_ACCEPT, version=2, digest="bb" * 32)
+            reloaded.commit_version(2)
+            assert reloaded.nv_counter == 2
         finally:
             reloaded.close()
-        assert check_audit_chain(tmp_path / "s") == 3
+        assert check_audit_chain(tmp_path / "s") == 4
+
+
+class TestTornLastLine:
+    TORN = b'{"seq":99,"ti'
+
+    def test_is_cut_off_and_recorded(self, store):
+        store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="aa" * 32)
+        store.commit_version(1)
+        store.append_audit(AuditEvent.TASK_DENY, reason="x")
+        before = read_audit(store.path)
+        store.close()
+        with open(store.path / "audit.log", "ab") as fh:
+            fh.write(self.TORN)
+        reloaded = SecureStateStore.load(store.path, durable=False)
+        try:
+            assert reloaded.nv_counter == 1
+            records = reloaded.read_records()
+        finally:
+            reloaded.close()
+        assert records[:-1] == before
+        assert records[-1].event is AuditEvent.RECOVER
+        assert records[-1].detail == f"truncated a torn last line of {len(self.TORN)} bytes"
+        assert check_audit_chain(store.path) == len(before) + 1
+
+    def test_a_log_that_is_one_torn_line_restarts_the_chain(self, store):
+        store.close()
+        (store.path / "audit.log").write_bytes(self.TORN)
+        SecureStateStore.load(store.path, durable=False).close()
+        records = read_audit(store.path)
+        assert [(r.seq, r.event, r.prev) for r in records] == [
+            (1, AuditEvent.RECOVER, "0" * 64)
+        ]
+
+    def test_torn_line_after_an_uncommitted_accept_is_cut_and_the_accept_committed(
+        self, store
+    ):
+        store.append_audit(AuditEvent.VERIFY_ACCEPT, version=3, digest="cc" * 32)
+        store.close()
+        with open(store.path / "audit.log", "ab") as fh:
+            fh.write(self.TORN)
+        SecureStateStore.load(store.path, durable=False).close()
+        assert read_state(store.path)[1] == 3
+        recovered = read_audit(store.path)[-2:]
+        assert [(r.event, r.version) for r in recovered] == [
+            (AuditEvent.RECOVER, None), (AuditEvent.RECOVER, 3)
+        ]
+        assert check_audit_chain(store.path) == 4
+
+    @pytest.mark.parametrize(
+        "tail", [b"not json\n", b"not json\n" + TORN], ids=["whole", "whole+torn"]
+    )
+    def test_a_corrupt_whole_last_line_stays_fatal(self, store, tail):
+        store.close()
+        log = store.path / "audit.log"
+        with open(log, "ab") as fh:
+            fh.write(tail)
+        raw = log.read_bytes()
+        with pytest.raises(StateError):
+            SecureStateStore.load(store.path, durable=False)
+        assert log.read_bytes() == raw
+
+    def test_load_reads_only_the_tail(self, store, monkeypatch):
+        for i in range(600):
+            store.append_audit(AuditEvent.WRITE_DENIED, detail=f"el1 write denied offset={i}")
+        store.close()
+        log = store.path / "audit.log"
+        with open(log, "ab") as fh:
+            fh.write(self.TORN)
+        block = 256
+        assert log.stat().st_size > 100 * block
+        read = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+        real_open = open
+        monkeypatch.setattr(state, "_TAIL_BLOCK", block)
+        monkeypatch.setattr(
+            state, "open",
+            lambda path, mode="r": CountingFile(path) if mode == "rb" else real_open(path, mode),
+            raising=False,
+        )
+        SecureStateStore.load(store.path, durable=False).close()
+        assert 0 < sum(read) <= 3 * block
+        assert read_audit(store.path)[-1].event is AuditEvent.RECOVER
 
 
 class TestStateFileCorruption:
@@ -309,14 +408,21 @@ class TestStateFileCorruption:
             read_state(tmp_path / "s")
 
 
-def full_scan_tail(audit_path: Path) -> tuple[int, str]:
-    """Reference: the last non-empty line of the whole log, read at once."""
-    if not audit_path.exists():
-        return 0, "0" * 64
-    lines = [line for line in audit_path.read_bytes().splitlines() if line]
+def full_scan_tail(audit_path: Path) -> tuple:
+    """Reference: the whole log read at once; the last record that ends in a
+    line end, its line hash, and the length of the bytes after the last line
+    end."""
+    content = audit_path.read_bytes() if audit_path.exists() else b""
+    end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
+    lines = [line for line in content[:end].splitlines() if line]
     if not lines:
-        return 0, "0" * 64
-    return AuditRecord.from_line(lines[-1]).seq, hashlib.sha256(lines[-1]).hexdigest()
+        return None, "0" * 64, len(content) - end
+    last_line = lines[-1]
+    return (
+        AuditRecord.from_line(last_line),
+        hashlib.sha256(last_line).hexdigest(),
+        len(content) - end,
+    )
 
 
 def last(items: list, n: int) -> list:
@@ -334,11 +440,11 @@ def outcome(scan, audit_path: Path):
 class TestAuditTail:
     def test_missing_and_empty_log_are_genesis(self, tmp_path):
         log = tmp_path / "audit.log"
-        assert state._scan_audit_tail(log) == (0, "0" * 64)
+        assert state._scan_audit_tail(log) == (None, "0" * 64, 0)
         log.write_bytes(b"")
-        assert state._scan_audit_tail(log) == (0, "0" * 64)
+        assert state._scan_audit_tail(log) == (None, "0" * 64, 0)
         log.write_bytes(b"\n\r\n\n" * 40_000)
-        assert state._scan_audit_tail(log) == (0, "0" * 64)
+        assert state._scan_audit_tail(log) == (None, "0" * 64, 0)
 
     @pytest.mark.parametrize("last_detail", [10, 3 * state._TAIL_BLOCK], ids=["short", "long"])
     def test_matches_full_scan_on_a_log_larger_than_one_block(self, store, last_detail):
@@ -348,7 +454,7 @@ class TestAuditTail:
         log = store.path / "audit.log"
         assert log.stat().st_size > state._TAIL_BLOCK
         expected = full_scan_tail(log)
-        assert expected[0] == record.seq
+        assert expected[:2] == (record, hashlib.sha256(record.to_line()).hexdigest())
         assert state._scan_audit_tail(log) == expected
         records = read_audit(store.path)
         for n in (0, 1, 5, len(records) + 3):
