@@ -42,6 +42,7 @@ from .state import (
     read_audit,
     read_audit_tail,
     read_state,
+    torn_tail_bytes,
 )
 
 EXIT_OK = 0
@@ -206,6 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     state_dir = _state_dir(args)
     status = derive_status(state_dir)
+    torn = torn_tail_bytes(state_dir)
     nv = None
     anchor_scheme = None
     if SecureStateStore.is_provisioned(state_dir):
@@ -222,6 +224,7 @@ def cmd_status(args: argparse.Namespace) -> int:
                     else None,
                     "nv_counter": nv,
                     "anchor_scheme": anchor_scheme,
+                    "torn_tail_bytes": torn,
                 },
                 indent=2,
             )
@@ -234,6 +237,8 @@ def cmd_status(args: argparse.Namespace) -> int:
         if status.current_version is not None:
             print(f"current_version: {status.current_version}")
             print(f"current_digest: {status.current_digest.hex}")
+        if torn:
+            print(f"torn_tail_bytes: {torn}")
     return EXIT_OK
 
 
@@ -247,6 +252,10 @@ def cmd_log(args: argparse.Namespace) -> int:
             print(f"audit check FAILED: {exc}", file=sys.stderr)
             return EXIT_INTEGRITY
         print(f"chain OK, {count} records")
+        torn = torn_tail_bytes(state_dir)
+        if torn:
+            print(f"note: the log ends in a torn line of {torn} bytes; "
+                  "the next load cuts it off")
         return EXIT_OK
     if args.tail is not None and args.tail < 0:
         raise CliError(f"-n must be a non-negative record count, got {args.tail}")
@@ -432,109 +441,127 @@ def _add_state_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The faarm parser. Every subcommand is listed, so the top-level help
+    and its errors never change; when command is given, only that
+    subcommand's arguments are filled in, since a process runs one."""
     parser = argparse.ArgumentParser(
         prog="faarm",
         description="Firmware attestation toolkit: sign, provision, verify-and-lock, attack, bench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="generate a vendor signing key pair")
-    p.add_argument("scheme", choices=[s.value for s in SignatureScheme])
-    p.add_argument("--out", required=True, help="output path prefix (.key/.pub appended)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--test-fixtures", action="store_true",
-                   help="allow seeded (reproducible) keygen; never for production keys")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_keygen)
+    def add(name: str, help_text: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_text)
+        return p if command is None or command == name else None
 
-    p = sub.add_parser("sign", help="build and sign a firmware bundle")
-    p.add_argument("--firmware", required=True)
-    p.add_argument("--version", required=True, type=int)
-    p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
-    p.add_argument("--flag", action="append", default=None,
-                   help=f"manifest flag (repeatable; default {FLAG_REQUIRES_LOCK})")
-    p.add_argument("--no-flags", action="store_true", help="emit an empty flag set")
-    p.add_argument("--timestamp", default=None, help="RFC-3339 UTC instant (default: now)")
-    p.add_argument("--key", required=True, help="vendor private key file")
-    p.add_argument("--out", required=True,
-                   help="bundle directory, or single-file container if it ends in .pkg")
-    p.set_defaults(func=cmd_sign)
+    p = add("keygen", "generate a vendor signing key pair")
+    if p is not None:
+        p.add_argument("scheme", choices=[s.value for s in SignatureScheme])
+        p.add_argument("--out", required=True, help="output path prefix (.key/.pub appended)")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--test-fixtures", action="store_true",
+                       help="allow seeded (reproducible) keygen; never for production keys")
+        p.add_argument("--force", action="store_true")
+        p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("provision", help="install a trust anchor with the counter at zero")
-    _add_state_arg(p)
-    p.add_argument("--anchor", required=True, help="vendor public key file")
-    p.add_argument("--reset", action="store_true",
-                   help="archive any existing state and start over")
-    p.set_defaults(func=cmd_provision)
+    p = add("sign", "build and sign a firmware bundle")
+    if p is not None:
+        p.add_argument("--firmware", required=True)
+        p.add_argument("--version", required=True, type=int)
+        p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
+        p.add_argument("--flag", action="append", default=None,
+                       help=f"manifest flag (repeatable; default {FLAG_REQUIRES_LOCK})")
+        p.add_argument("--no-flags", action="store_true", help="emit an empty flag set")
+        p.add_argument("--timestamp", default=None, help="RFC-3339 UTC instant (default: now)")
+        p.add_argument("--key", required=True, help="vendor private key file")
+        p.add_argument("--out", required=True,
+                       help="bundle directory, or single-file container if it ends in .pkg")
+        p.set_defaults(func=cmd_sign)
 
-    p = sub.add_parser("verify", help="run the verify-and-lock protocol on a bundle")
-    _add_state_arg(p)
-    p.add_argument("bundle")
-    p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
-    p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
-    p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
-                   default=LockMode.HARDWARE_WP.value)
-    p.add_argument("--dump-region", default=None, help="write a region dump JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p = add("provision", "install a trust anchor with the counter at zero")
+    if p is not None:
+        _add_state_arg(p)
+        p.add_argument("--anchor", required=True, help="vendor public key file")
+        p.add_argument("--reset", action="store_true",
+                       help="archive any existing state and start over")
+        p.set_defaults(func=cmd_provision)
 
-    p = sub.add_parser("status", help="show phase, counter, and current firmware")
-    _add_state_arg(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_status)
+    p = add("verify", "run the verify-and-lock protocol on a bundle")
+    if p is not None:
+        _add_state_arg(p)
+        p.add_argument("bundle")
+        p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
+        p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
+        p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
+                       default=LockMode.HARDWARE_WP.value)
+        p.add_argument("--dump-region", default=None, help="write a region dump JSON here")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("log", help="print or integrity-check the audit log")
-    _add_state_arg(p)
-    p.add_argument("--check", action="store_true",
-                   help="verify the hash chain and protocol replay invariants")
-    p.add_argument("-n", "--tail", type=int, default=None, help="show only the last N records")
-    p.add_argument("--json", action="store_true", help="print raw JSON record lines")
-    p.set_defaults(func=cmd_log)
+    p = add("status", "show phase, counter, and current firmware")
+    if p is not None:
+        _add_state_arg(p)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_status)
 
-    p = sub.add_parser("attack", help="run adversarial scenarios against both loaders")
-    p.add_argument("--scenario", action="append", default=None,
-                   choices=[k.value for k in ScenarioKind],
-                   help="scenario to run (repeatable; default: all)")
-    p.add_argument("--mode", choices=["baseline", "faarm", "both"], default="both")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--firmware-size", type=parse_size, default=4096)
-    p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
-                   default=SignatureScheme.ED25519.value)
-    p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
-                   default=LockMode.HARDWARE_WP.value)
-    p.add_argument("--csv", default=None, help="write per-trial latency samples here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_attack)
+    p = add("log", "print or integrity-check the audit log")
+    if p is not None:
+        _add_state_arg(p)
+        p.add_argument("--check", action="store_true",
+                       help="verify the hash chain and protocol replay invariants")
+        p.add_argument("-n", "--tail", type=int, default=None, help="show only the last N records")
+        p.add_argument("--json", action="store_true", help="print raw JSON record lines")
+        p.set_defaults(func=cmd_log)
 
-    p = sub.add_parser("bench", help="measure verify/lock/total latency")
-    p.add_argument("--size", type=parse_size, default=1024 * 1024,
-                   help="firmware size in bytes; KiB/MiB suffixes accepted (default 1MiB)")
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--warmup", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
-                   default=SignatureScheme.ECDSA_P256.value)
-    p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
-                   default=LockMode.HARDWARE_WP.value)
-    p.add_argument("--nominal-init-ms", type=float, default=DEFAULT_NOMINAL_INIT_MS)
-    p.add_argument("--csv", default=None, help="write raw latency samples here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    p = add("attack", "run adversarial scenarios against both loaders")
+    if p is not None:
+        p.add_argument("--scenario", action="append", default=None,
+                       choices=[k.value for k in ScenarioKind],
+                       help="scenario to run (repeatable; default: all)")
+        p.add_argument("--mode", choices=["baseline", "faarm", "both"], default="both")
+        p.add_argument("--trials", type=int, default=50)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--firmware-size", type=parse_size, default=4096)
+        p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
+                       default=SignatureScheme.ED25519.value)
+        p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
+                       default=LockMode.HARDWARE_WP.value)
+        p.add_argument("--csv", default=None, help="write per-trial latency samples here")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("demo", help="before/after transcript: baseline loader vs monitor")
-    p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
-                   default=SignatureScheme.ED25519.value)
-    p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
-    p.set_defaults(func=cmd_demo)
+    p = add("bench", "measure verify/lock/total latency")
+    if p is not None:
+        p.add_argument("--size", type=parse_size, default=1024 * 1024,
+                       help="firmware size in bytes; KiB/MiB suffixes accepted (default 1MiB)")
+        p.add_argument("--runs", type=int, default=100)
+        p.add_argument("--warmup", type=int, default=10)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
+                       default=SignatureScheme.ECDSA_P256.value)
+        p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
+                       default=LockMode.HARDWARE_WP.value)
+        p.add_argument("--nominal-init-ms", type=float, default=DEFAULT_NOMINAL_INIT_MS)
+        p.add_argument("--csv", default=None, help="write raw latency samples here")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_bench)
+
+    p = add("demo", "before/after transcript: baseline loader vs monitor")
+    if p is not None:
+        p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
+                       default=SignatureScheme.ED25519.value)
+        p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
+        p.set_defaults(func=cmd_demo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes a first word that is not an option as the subcommand
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (

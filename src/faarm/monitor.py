@@ -41,7 +41,7 @@ from .packaging import (
     canonical_bytes,
     read_bundle,
 )
-from .state import AuditEvent, AuditRecord, SecureStateStore, read_audit
+from .state import AuditEvent, AuditRecord, SecureStateStore, iter_audit_backwards
 
 TASK_ENVELOPE_MAGIC = b"ENC1"
 
@@ -420,19 +420,20 @@ def replay_protocol_invariants(records: Sequence[AuditRecord]) -> None:
 
 
 def derive_status(state_dir: str | Path) -> MonitorStatus:
-    """Reconstruct phase/version/digest by replaying the audit log; used by
-    operator tooling, since the emulated region lives only inside a process."""
+    """Reconstruct phase/version/digest from the audit log; used by operator
+    tooling, since the emulated region lives only inside a process. Reads
+    backwards to the last VERIFY_ACCEPT, so the cost grows with the records
+    after it, not with the log: a tampered SESSION_RECHECK among them means
+    the device is quarantined."""
     state_dir = Path(state_dir)
     if not SecureStateStore.is_provisioned(state_dir):
         return MonitorStatus(Phase.UNPROVISIONED, None, None)
-    phase = Phase.IDLE
-    version: int | None = None
-    digest: Digest | None = None
-    for record in read_audit(state_dir):
+    tampered = False
+    for record in iter_audit_backwards(state_dir):
         if record.event is AuditEvent.VERIFY_ACCEPT:
-            phase = Phase.LOADED_LOCKED
-            version = record.version
+            phase = Phase.QUARANTINED if tampered else Phase.LOADED_LOCKED
             digest = Digest.from_hex(record.digest) if record.digest else None
-        elif record.event is AuditEvent.SESSION_RECHECK and record.detail == "tampered":
-            phase = Phase.QUARANTINED
-    return MonitorStatus(phase, version, digest)
+            return MonitorStatus(phase, record.version, digest)
+        if record.event is AuditEvent.SESSION_RECHECK and record.detail == "tampered":
+            tampered = True
+    return MonitorStatus(Phase.QUARANTINED if tampered else Phase.IDLE, None, None)

@@ -16,20 +16,25 @@ before the counter commit, so a crash at any boundary leaves the counter at
 the last committed accept while the log still shows the attempt. load()
 redoes what such a crash cut short: it commits a last VERIFY_ACCEPT that is
 above the counter, and cuts off a torn last line, appending a RECOVER record
-for each repair.
+for each repair. The read-only readers never write: they leave a torn last
+line out and report its length.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import os
 import threading
+import time
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import islice
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .crypto import PublicKey
 
@@ -88,13 +93,22 @@ class AuditRecord(NamedTuple):
     prev: str = GENESIS_HASH
 
     def to_line(self) -> bytes:
-        obj: dict = {"seq": self.seq, "time": self.time, "event": self.event.value}
-        for key in ("version", "reason", "digest", "detail"):
-            value = getattr(self, key)
-            if value is not None:
-                obj[key] = value
-        obj["prev"] = self.prev
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        """The record as one line without its line end: the bytes of
+        json.dumps(obj, separators=(",", ":"), ensure_ascii=False) encoded as
+        UTF-8, where obj holds seq, time and event, then each of version,
+        reason, digest and detail that is not None, then prev. Assembled
+        directly, since json.dumps builds a new encoder on every call."""
+        seq, time_, event, version, reason, digest, detail, prev = self
+        line = f'{{"seq":{_json(seq)},"time":{_json(time_)},"event":{_json(event.value)}'
+        if version is not None:
+            line += f',"version":{_json(version)}'
+        if reason is not None:
+            line += f',"reason":{_json(reason)}'
+        if digest is not None:
+            line += f',"digest":{_json(digest)}'
+        if detail is not None:
+            line += f',"detail":{_json(detail)}'
+        return f'{line},"prev":{_json(prev)}}}'.encode("utf-8")
 
     @classmethod
     def from_line(cls, line: bytes) -> "AuditRecord":
@@ -119,8 +133,29 @@ class AuditRecord(NamedTuple):
             raise StateError(f"invalid audit record ({exc})") from None
 
 
+def _json(value) -> str:
+    """value as json.dumps(value, ensure_ascii=False) writes it inside a
+    compact object: str and int directly, anything else (a bool, or whatever
+    load() copied from a hand-edited line) through json itself."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+
+
+@functools.lru_cache(maxsize=1)
+def _utc_second(second: int) -> str:
+    # formatting is most of the cost of a timestamp; a flood of appends
+    # stamps many records within one second
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
+
+
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="milliseconds").replace("+00:00", "Z")
+    """UTC now as YYYY-MM-DDTHH:MM:SS.mmmZ, milliseconds truncated."""
+    ms = time.time_ns() // 1_000_000
+    return f"{_utc_second(ms // 1000)}.{ms % 1000:03d}Z"
 
 
 def _line_hash(line: bytes) -> str:
@@ -290,14 +325,17 @@ class SecureStateStore:
                 prev=self._last_hash,
             )
             line = record.to_line()
-            self._fire(f"audit:pre:{event.value}")
+            # the boundary names are built only when a hook will see them
+            if self.crash_hook is not None:
+                self.crash_hook(f"audit:pre:{event.value}")
             self._audit_fh.write(line + b"\n")
             self._audit_fh.flush()
             if self._durable:
                 os.fsync(self._audit_fh.fileno())
             self._last_seq = record.seq
             self._last_hash = _line_hash(line)
-            self._fire(f"audit:post:{event.value}")
+            if self.crash_hook is not None:
+                self.crash_hook(f"audit:post:{event.value}")
             return record
 
     def read_records(self) -> list[AuditRecord]:
@@ -380,31 +418,46 @@ def read_state(path: str | Path) -> tuple[PublicKey, int]:
 
 
 def read_audit(path: str | Path) -> list[AuditRecord]:
-    audit_path = Path(path) / AUDIT_NAME
-    if not audit_path.exists():
-        return []
-    records = []
-    for line in audit_path.read_bytes().splitlines():
-        if line:
-            records.append(AuditRecord.from_line(line))
-    return records
+    """Every whole record of the audit log, oldest first. Bytes after the
+    last line end (a torn write, which the next load() cuts off) are left
+    out; torn_tail_bytes() gives their length."""
+    lines, _ = _whole_lines(Path(path) / AUDIT_NAME)
+    return [AuditRecord.from_line(line) for line in lines if line]
 
 
 def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
-    """The last n records of the audit log, oldest first, without reading the
-    rest of it; equal to read_audit(path)[-n:] for n >= 1 on a well-formed log."""
-    return [AuditRecord.from_line(line) for line in _tail_lines(Path(path) / AUDIT_NAME, n)]
+    """The last n whole records of the audit log, oldest first, without
+    reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
+    if n <= 0:
+        return []
+    lines, _ = _tail(Path(path) / AUDIT_NAME, n)
+    return [AuditRecord.from_line(line) for line in lines]
+
+
+def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
+    """The whole records of the audit log, newest first, read backwards only
+    as far as the caller iterates; a torn tail is left out."""
+    lines = _lines_backwards(Path(path) / AUDIT_NAME)
+    next(lines)  # the torn tail
+    for line in lines:
+        yield AuditRecord.from_line(line)
+
+
+def torn_tail_bytes(path: str | Path) -> int:
+    """The length of the unterminated bytes after the last line end of the
+    audit log, which the readers leave out and the next load() cuts off;
+    0 when the log ends in a line end or is missing."""
+    return len(next(_lines_backwards(Path(path) / AUDIT_NAME)))
 
 
 def check_audit_chain(path: str | Path) -> int:
-    """Walk the full hash chain; returns the record count, raises
-    AuditChainError at the first broken link, gap, or malformed line."""
-    audit_path = Path(path) / AUDIT_NAME
-    if not audit_path.exists():
-        return 0
+    """Walk the full hash chain of the whole records; returns the record
+    count, raises AuditChainError at the first broken link, gap, or
+    malformed line. A torn tail is left out, as in read_audit."""
     prev_hash = GENESIS_HASH
     count = 0
-    for line_no, line in enumerate(audit_path.read_bytes().splitlines(), start=1):
+    lines, _ = _whole_lines(Path(path) / AUDIT_NAME)
+    for line_no, line in enumerate(lines, start=1):
         if not line:
             raise AuditChainError(line_no, "blank line inside the log")
         try:
@@ -484,20 +537,42 @@ def _tail_lines(audit_path: Path, n: int) -> list[bytes]:
 def _tail(audit_path: Path, n: int) -> tuple[list[bytes], bytes]:
     """The last n >= 1 non-empty lines of the audit log that end in a line
     end, oldest first, and the unterminated bytes after the last line end
-    (b"" when the log ends in one). Reads backwards from the end in blocks
-    until n such lines are in hand, so the cost grows with n, not with the
-    log. Lines end at LF or CR, as with bytes.splitlines(); a CRLF split
-    across two blocks only yields an empty line, which is skipped like any
-    other."""
+    (b"" when the log ends in one)."""
+    lines = _lines_backwards(audit_path)
+    torn = next(lines)
+    return list(islice(lines, n))[::-1], torn
+
+
+def _whole_lines(audit_path: Path) -> tuple[list[bytes], int]:
+    """All lines of the audit log that end in a line end, blank ones
+    included, and the length of the unterminated bytes after the last line
+    end. Reads the whole log."""
     if not audit_path.exists():
-        return [], b""
-    groups: list[list[bytes]] = []  # whole lines per block, newest block first
-    found = 0
-    torn: bytes | None = None  # set at the first block holding a line end
+        return [], 0
+    content = audit_path.read_bytes()
+    torn = len(content) - 1 - max(content.rfind(b"\n"), content.rfind(b"\r"))
+    lines = content.splitlines()
+    if torn:
+        del lines[-1]
+    return lines, torn
+
+
+def _lines_backwards(audit_path: Path) -> Iterator[bytes]:
+    """First the unterminated bytes after the last line end of the audit log
+    (b"" when it ends in one or is missing), then each non-empty line that
+    ends in a line end, newest first. Reads backwards from the end in blocks,
+    only as far as the caller iterates, so the cost grows with the lines
+    taken, not with the log. Lines end at LF or CR, as with
+    bytes.splitlines(); a CRLF split across two blocks only yields an empty
+    line, which is skipped like any other."""
+    if not audit_path.exists():
+        yield b""
+        return
     with open(audit_path, "rb") as fh:
         pos = fh.seek(0, os.SEEK_END)
         pending = b""  # bytes before the first line end seen so far
-        while pos > 0 and found < n:
+        torn: bytes | None = None  # set at the first block holding a line end
+        while pos > 0:
             step = min(_TAIL_BLOCK, pos)
             pos -= step
             fh.seek(pos)
@@ -509,16 +584,16 @@ def _tail(audit_path: Path, n: int) -> tuple[list[bytes], bytes]:
             if torn is None:
                 last_end = max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1
                 torn, buf = buf[last_end:], buf[:last_end]
+                yield torn
             cut = min(ends)
             pending, whole = buf[:cut], buf[cut:]
-            lines = [line for line in whole.splitlines() if line]
-            groups.append(lines)
-            found += len(lines)
+            for line in reversed(whole.splitlines()):
+                if line:
+                    yield line
         if torn is None:  # no line end anywhere: the whole log is one torn line
-            return [], pending
-        if pos == 0 and pending:
-            groups.append([pending])
-    return [line for lines in reversed(groups) for line in lines][-n:], torn
+            yield pending
+        elif pending:
+            yield pending
 
 
 def _archive_existing(path: Path) -> Path:

@@ -13,6 +13,7 @@ from faarm import harness
 from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
 
 FW = bytes((i * 37) % 256 for i in range(4096))
+COMMANDS = ["keygen", "sign", "provision", "verify", "status", "log", "attack", "bench", "demo"]
 
 
 @pytest.fixture
@@ -261,6 +262,33 @@ class TestStatusAndLog:
         out = cli("log", "--state", str(workshop["state"]), "--check", expect=1)
         assert "FAILED" in out.err
 
+    def test_readers_tolerate_a_torn_last_line(self, cli, workshop):
+        state = str(workshop["state"])
+        cli("verify", str(workshop["bundle"]), "--state", state)
+        log_path = workshop["state"] / "audit.log"
+        count = log_path.read_bytes().count(b"\n")
+        last = cli("log", "--state", state, "-n", "1").out
+        assert json.loads(cli("status", "--state", state, "--json").out)["torn_tail_bytes"] == 0
+        torn = b'{"seq":99,"ti'
+        with open(log_path, "ab") as fh:
+            fh.write(torn)
+        raw = log_path.read_bytes()
+        status = json.loads(cli("status", "--state", state, "--json").out)
+        assert (status["phase"], status["current_version"]) == ("loaded-locked", 1)
+        assert status["torn_tail_bytes"] == len(torn)
+        assert "torn_tail_bytes: 13" in cli("status", "--state", state).out
+        assert cli("log", "--state", state, "-n", "1").out == last
+        assert cli("log", "--state", state).out.splitlines()[-1] == last.strip()
+        assert cli("log", "--state", state, "--check").out.splitlines() == [
+            f"chain OK, {count} records",
+            "note: the log ends in a torn line of 13 bytes; the next load cuts it off",
+        ]
+        assert log_path.read_bytes() == raw
+        cli("verify", str(workshop["bundle"]), "--state", state, expect=12)
+        assert "truncated a torn last line of 13 bytes" in cli("log", "--state", state).out
+        assert json.loads(cli("status", "--state", state, "--json").out)["torn_tail_bytes"] == 0
+        assert cli("log", "--state", state, "--check").out == f"chain OK, {count + 2} records\n"
+
 
 class TestAttackAndBench:
     def test_attack_json_smoke(self, cli, tmp_path):
@@ -320,6 +348,29 @@ class TestErrorSurface:
                   str(tmp_path / "nowhere"), expect=2)
         assert "error:" in out.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], *([name, "--help"] for name in COMMANDS), ["verify"],
+         ["verify", "b", "--bogus"], ["bogus"], ["-x", "verify", "b"]],
+        ids=" ".join,
+    )
+    def test_main_parses_like_the_full_parser(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exit_info.value.code, captured.out, captured.err
+
+        assert outcome(main) == outcome(lambda a: build_parser().parse_args(a))
+
+    def test_main_fills_in_only_the_named_subcommand(self, cli, tmp_path):
+        with mock.patch("faarm.cli.build_parser", wraps=build_parser) as spy:
+            cli("status", "--state", str(tmp_path))
+        spy.assert_called_once_with("status")
+        filled = {name: len(sub._actions) > 1
+                  for name, sub in subparsers(build_parser("status")).items()}
+        assert filled == {name: name == "status" for name in COMMANDS}
+
     def test_default_state_dir_constant(self):
         assert DEFAULT_STATE_DIR == "./faarm-state"
 
@@ -340,10 +391,13 @@ def run_fresh(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def subcommand(name: str) -> argparse.ArgumentParser:
-    parser = build_parser()
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[name]
+    return action.choices
+
+
+def subcommand(name: str) -> argparse.ArgumentParser:
+    return subparsers(build_parser())[name]
 
 
 def modules_added_by_importing_the_cli() -> set[str]:

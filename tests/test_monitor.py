@@ -1,13 +1,22 @@
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import faarm.mcu
 import faarm.monitor
-from faarm.crypto import Signature, hash_data, keygen, SignatureScheme
+from faarm import state
+from faarm.crypto import Digest, Signature, hash_data, keygen, SignatureScheme
 from faarm.mcu import HookPoint, LockMode, LockState
 from faarm.monitor import (
     EXIT_CODES,
     AuthToken,
     MonitorError,
+    MonitorStatus,
     Phase,
     RejectionReason,
     ReplayError,
@@ -15,7 +24,7 @@ from faarm.monitor import (
     replay_protocol_invariants,
 )
 from faarm.packaging import FirmwarePackage, write_bundle
-from faarm.state import AuditEvent, read_audit
+from faarm.state import AuditEvent, SecureStateStore, read_audit
 
 FW = bytes(range(256)) * 8  # 2 KiB
 
@@ -384,6 +393,74 @@ class TestStatus:
         env.region.tamper_test_hook(0, b"\xff")
         env.monitor.session_start()
         assert derive_status(env.store.path).phase is Phase.QUARANTINED
+
+
+def forward_status(state_dir) -> MonitorStatus:
+    """Reference for derive_status: replay the whole log from the start."""
+    phase = Phase.IDLE
+    version = digest = None
+    for record in read_audit(state_dir):
+        if record.event is AuditEvent.VERIFY_ACCEPT:
+            phase = Phase.LOADED_LOCKED
+            version = record.version
+            digest = Digest.from_hex(record.digest) if record.digest else None
+        elif record.event is AuditEvent.SESSION_RECHECK and record.detail == "tampered":
+            phase = Phase.QUARANTINED
+    return MonitorStatus(phase, version, digest)
+
+
+audit_step = st.one_of(
+    st.tuples(st.just(AuditEvent.VERIFY_ACCEPT), st.integers(1, 99),
+              st.none() | st.sampled_from(["ab" * 32, "cd" * 32])),
+    st.tuples(st.just(AuditEvent.SESSION_RECHECK), st.sampled_from(["tampered", "clean"])),
+    st.sampled_from([
+        (AuditEvent.WRITE_DENIED,), (AuditEvent.VERIFY_REJECT,), (AuditEvent.LOCK,),
+        (AuditEvent.TASK_ADMIT,), (AuditEvent.TASK_DENY,), (AuditEvent.RECOVER,),
+    ]),
+)
+
+
+class TestStatusFromTheTail:
+    @given(st.lists(audit_step, max_size=12), st.booleans(), st.integers(1, 256))
+    def test_matches_a_forward_replay(self, ed25519_key, steps, torn, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = SecureStateStore.provision(ed25519_key.public, tmp, durable=False)
+            try:
+                for event, *rest in steps:
+                    if event is AuditEvent.VERIFY_ACCEPT:
+                        store.append_audit(event, version=rest[0], digest=rest[1])
+                    elif event is AuditEvent.SESSION_RECHECK:
+                        store.append_audit(event, detail=rest[0])
+                    else:
+                        store.append_audit(event, detail="x")
+            finally:
+                store.close()
+            if torn:
+                with open(Path(tmp) / "audit.log", "ab") as fh:
+                    fh.write(b'{"seq":99,"event":"VERIFY_ACC')
+            with mock.patch.object(state, "_TAIL_BLOCK", block):
+                assert derive_status(tmp) == forward_status(tmp)
+
+    def test_reads_back_only_to_the_last_accept(self, env, monkeypatch):
+        for i in range(600):
+            env.store.append_audit(AuditEvent.WRITE_DENIED, detail=f"el1 write denied offset={i}")
+        env.monitor.verify_and_lock(env.package(FW, 1))
+        env.store.append_audit(AuditEvent.WRITE_DENIED, detail="el1 write denied offset=0")
+        block = 256
+        assert (env.store.path / "audit.log").stat().st_size > 100 * block
+        read = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(state, "_TAIL_BLOCK", block)
+        monkeypatch.setattr(state, "open", lambda path, mode: CountingFile(path), raising=False)
+        status = derive_status(env.store.path)
+        assert status == MonitorStatus(Phase.LOADED_LOCKED, 1, hash_data(FW))
+        assert 0 < sum(read) <= 8 * block
 
 
 class TestExitCodes:

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import json
+import re
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faarm import state
@@ -523,3 +525,113 @@ class TestAuditTail:
                     assert state._tail_lines(log, n) == last(lines, n)
                     if all_records:
                         assert read_audit_tail(tmp, n) == last(read_audit(tmp), n)
+
+
+def reference_line(record: AuditRecord) -> bytes:
+    """The record line as json.dumps writes it; AuditRecord.to_line must
+    produce the same bytes."""
+    obj = {"seq": record.seq, "time": record.time, "event": record.event.value}
+    for key in ("version", "reason", "digest", "detail"):
+        value = getattr(record, key)
+        if value is not None:
+            obj[key] = value
+    obj["prev"] = record.prev
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def line_outcome(line_of, record: AuditRecord):
+    try:
+        return line_of(record)
+    except (UnicodeEncodeError, ValueError) as exc:
+        return type(exc)
+
+
+tricky_text = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(
+        ['"', "\\", "/", "\x00", "\x08", "\x1f", "\x7f", "\u2028", "\u2029",
+         "\U0001f512", "é", "\ud800", "a", " "]
+    )),
+)
+# what a hand-edited last line can hand load(), which copies it into RECOVER
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | tricky_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(tricky_text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestRecordLine:
+    @settings(max_examples=500)
+    @given(
+        seq=st.integers(min_value=0) | json_value,
+        time=tricky_text,
+        event=st.sampled_from(AuditEvent),
+        version=st.none() | st.integers() | st.booleans() | json_value,
+        reason=st.none() | tricky_text,
+        digest=st.none() | tricky_text | json_value,
+        detail=st.none() | tricky_text,
+        prev=tricky_text | json_value,
+    )
+    def test_matches_json_dumps(self, seq, time, event, version, reason, digest, detail, prev):
+        record = AuditRecord(seq, time, event, version, reason, digest, detail, prev)
+        assert line_outcome(AuditRecord.to_line, record) == line_outcome(reference_line, record)
+
+    def test_written_lines_match_json_dumps(self, store):
+        store.append_audit(AuditEvent.VERIFY_ACCEPT, version=True, digest=["x", 1.5])
+        store.append_audit(AuditEvent.VERIFY_REJECT, version=2**70, reason='q"\\',
+                           detail="\u2028\x01\U0001f512")
+        for line in (store.path / "audit.log").read_bytes().splitlines():
+            record = AuditRecord.from_line(line)
+            assert record.to_line() == reference_line(record) == line
+
+    def test_time_is_utc_with_milliseconds(self):
+        before = datetime.now(timezone.utc)
+        stamp = state._now()
+        after = datetime.now(timezone.utc)
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", stamp)
+        parsed = datetime.fromisoformat(stamp[:-1] + "+00:00")
+        assert before - timedelta(milliseconds=1) < parsed <= after
+
+
+class TestTornTailReaders:
+    TORN = TestTornLastLine.TORN
+
+    def test_readers_leave_a_torn_tail_out_and_never_write(self, store):
+        store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="aa" * 32)
+        store.append_audit(AuditEvent.TASK_DENY, reason="x")
+        records = read_audit(store.path)
+        assert state.torn_tail_bytes(store.path) == 0
+        log = store.path / "audit.log"
+        with open(log, "ab") as fh:
+            fh.write(self.TORN)
+        raw = log.read_bytes()
+        assert read_audit(store.path) == records
+        assert read_audit_tail(store.path, 1) == records[-1:]
+        assert read_audit_tail(store.path, 9) == records
+        assert list(state.iter_audit_backwards(store.path)) == records[::-1]
+        assert check_audit_chain(store.path) == len(records)
+        assert state.torn_tail_bytes(store.path) == len(self.TORN)
+        assert log.read_bytes() == raw
+
+    def test_missing_log(self, tmp_path):
+        assert read_audit(tmp_path) == []
+        assert list(state.iter_audit_backwards(tmp_path)) == []
+        assert check_audit_chain(tmp_path) == 0
+        assert state.torn_tail_bytes(tmp_path) == 0
+
+    @given(TestAuditTail.log_parts, st.booleans(), st.integers(1, 64))
+    def test_backwards_reader_matches_a_full_read_at_any_block_size(
+        self, parts, ends_with_newline, block
+    ):
+        content = TestAuditTail.log_content(parts, ends_with_newline)
+        end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
+        whole_lines = [line for line in content[:end].splitlines() if line]
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "audit.log").write_bytes(content)
+            with mock.patch.object(state, "_TAIL_BLOCK", block):
+                assert state.torn_tail_bytes(tmp) == len(content) - end
+                if all(isinstance(body, int) for body, _ in parts):
+                    records = read_audit(tmp)
+                    assert [r.to_line() for r in records] == whole_lines
+                    assert list(state.iter_audit_backwards(tmp)) == records[::-1]
