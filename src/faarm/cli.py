@@ -25,7 +25,7 @@ from .mcu import (
     McuRegion,
     WriteOutcome,
 )
-from .monitor import Monitor, ScenarioKind, derive_status, replay_protocol_invariants
+from .monitor import Monitor, ReplayError, ScenarioKind, derive_status, replay_protocol_invariants
 from .packaging import (
     DEFAULT_MCU_ID,
     FLAG_REQUIRES_LOCK,
@@ -38,11 +38,11 @@ from .packaging import (
 from .state import (
     SecureStateStore,
     StateError,
-    check_audit_chain,
     read_audit,
     read_audit_tail,
     read_state,
     torn_tail_bytes,
+    walk_audit_chain,
 )
 
 EXIT_OK = 0
@@ -245,9 +245,22 @@ def cmd_status(args: argparse.Namespace) -> int:
 def cmd_log(args: argparse.Namespace) -> int:
     state_dir = _state_dir(args)
     if args.check:
+        _, nv = read_state(state_dir)  # outside the try: unprovisioned is exit 2, as in verify
+        chain = walk_audit_chain(state_dir)
         try:
-            count = check_audit_chain(state_dir)
-            replay_protocol_invariants(read_audit(state_dir))
+            try:
+                count, last_accept = replay_protocol_invariants(chain)
+            except ReplayError:
+                for _ in chain:  # a broken link further on is the error to report
+                    pass
+                raise
+            # a last accept above the counter is a crash before its commit,
+            # which the next load rolls forward; below it, records are missing
+            if last_accept < nv:
+                raise ReplayError(
+                    f"the last logged accept is version {last_accept}, "
+                    f"below the committed counter {nv}"
+                )
         except Exception as exc:
             print(f"audit check FAILED: {exc}", file=sys.stderr)
             return EXIT_INTEGRITY

@@ -29,7 +29,7 @@ import threading
 import time
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .crypto import CryptoError, Digest, hash_data, signing_payload, verify
 from .mcu import HookPoint, LockEngageError, LockState, McuRegion
@@ -44,6 +44,7 @@ from .packaging import (
 from .state import AuditEvent, AuditRecord, SecureStateStore, iter_audit_backwards
 
 TASK_ENVELOPE_MAGIC = b"ENC1"
+KNOWN_FLAGS = frozenset({FLAG_REQUIRES_LOCK})  # a manifest flag outside these rejects the load
 
 
 class MonitorError(Exception):
@@ -146,12 +147,10 @@ class Monitor:
         region: McuRegion,
         *,
         mcu_id: str,
-        known_flags: Sequence[str] = (FLAG_REQUIRES_LOCK,),
     ):
         self.store = store
         self.region = region
         self.mcu_id = mcu_id
-        self.known_flags = frozenset(known_flags)
         self.phase = Phase.IDLE
         self._current_version: int | None = None
         self._current_digest: Digest | None = None
@@ -213,7 +212,7 @@ class Monitor:
                     f"version {version} is not above counter {self.store.nv_counter}",
                     version, t_total, verify_ms,
                 )
-            unknown = sorted(set(manifest.flags) - self.known_flags)
+            unknown = sorted(set(manifest.flags) - KNOWN_FLAGS)
             if unknown:
                 return self._reject(
                     RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}",
@@ -386,14 +385,17 @@ def _ms_since(start: float) -> float:
 # -- audit replay -------------------------------------------------------------
 
 
-def replay_protocol_invariants(records: Sequence[AuditRecord]) -> None:
+def replay_protocol_invariants(records: Iterable[AuditRecord]) -> tuple[int, int]:
     """Check a full audit log against the protocol's replay invariants:
     accepted versions strictly increase, every LOCK pairs with the accept that
-    follows it, and every task admission names the latest accepted digest."""
+    follows it, and every task admission names the latest accepted digest.
+    Returns the number of records and the last accepted version (0 when
+    there is none)."""
+    count = 0
     last_version = 0
     current_digest: str | None = None
     pending_lock: AuditRecord | None = None
-    for record in records:
+    for count, record in enumerate(records, start=1):
         if record.event is AuditEvent.LOCK:
             pending_lock = record
         elif record.event is AuditEvent.VERIFY_ACCEPT:
@@ -417,6 +419,7 @@ def replay_protocol_invariants(records: Sequence[AuditRecord]) -> None:
                     f"record {record.seq}: task admitted against digest {record.digest}, "
                     f"but the last accept was {current_digest}"
                 )
+    return count, last_version
 
 
 def derive_status(state_dir: str | Path) -> MonitorStatus:

@@ -42,7 +42,7 @@ STATE_NAME = "state.json"
 AUDIT_NAME = "audit.log"
 LOCK_NAME = "lock"
 GENESIS_HASH = "0" * 64
-_TAIL_BLOCK = 64 * 1024  # bytes read per step when looking for the last audit line
+_TAIL_BLOCK = 64 * 1024  # bytes per step when reading the audit log backwards
 
 
 class StateError(Exception):
@@ -421,8 +421,7 @@ def read_audit(path: str | Path) -> list[AuditRecord]:
     """Every whole record of the audit log, oldest first. Bytes after the
     last line end (a torn write, which the next load() cuts off) are left
     out; torn_tail_bytes() gives their length."""
-    lines, _ = _whole_lines(Path(path) / AUDIT_NAME)
-    return [AuditRecord.from_line(line) for line in lines if line]
+    return [AuditRecord.from_line(line) for line in _whole_lines(Path(path) / AUDIT_NAME) if line]
 
 
 def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
@@ -430,8 +429,10 @@ def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
     reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
     if n <= 0:
         return []
-    lines, _ = _tail(Path(path) / AUDIT_NAME, n)
-    return [AuditRecord.from_line(line) for line in lines]
+    lines = _lines_backwards(Path(path) / AUDIT_NAME)
+    next(lines)  # the torn tail
+    # parsed oldest first, as read_audit parses, so the oldest bad line raises
+    return [AuditRecord.from_line(line) for line in list(islice(filter(None, lines), n))[::-1]]
 
 
 def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
@@ -439,7 +440,7 @@ def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
     as far as the caller iterates; a torn tail is left out."""
     lines = _lines_backwards(Path(path) / AUDIT_NAME)
     next(lines)  # the torn tail
-    for line in lines:
+    for line in filter(None, lines):
         yield AuditRecord.from_line(line)
 
 
@@ -454,10 +455,16 @@ def check_audit_chain(path: str | Path) -> int:
     """Walk the full hash chain of the whole records; returns the record
     count, raises AuditChainError at the first broken link, gap, or
     malformed line. A torn tail is left out, as in read_audit."""
+    return sum(1 for _ in walk_audit_chain(path))
+
+
+def walk_audit_chain(path: str | Path) -> Iterator[AuditRecord]:
+    """The whole records of the audit log, oldest first, each yielded once
+    its link to the line before checks out; raises AuditChainError at the
+    first broken link, gap, or malformed line. One pass reads and parses
+    each line once, so a caller can check the records as they come."""
     prev_hash = GENESIS_HASH
-    count = 0
-    lines, _ = _whole_lines(Path(path) / AUDIT_NAME)
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_whole_lines(Path(path) / AUDIT_NAME), start=1):
         if not line:
             raise AuditChainError(line_no, "blank line inside the log")
         try:
@@ -469,8 +476,7 @@ def check_audit_chain(path: str | Path) -> int:
         if record.seq != line_no:
             raise AuditChainError(line_no, f"sequence gap: expected {line_no}, got {record.seq}")
         prev_hash = _line_hash(line)
-        count += 1
-    return count
+        yield record
 
 
 # -- internals ----------------------------------------------------------------
@@ -519,81 +525,55 @@ def _scan_audit_tail(audit_path: Path) -> tuple[AuditRecord | None, str, int]:
     """The last whole record of the audit log with its line hash, or (None,
     GENESIS_HASH) when there is none, and the length of the unterminated
     bytes after it (0 when the log ends in a line end or is missing)."""
-    lines, torn = _tail(audit_path, 1)
-    if not lines:
-        return None, GENESIS_HASH, len(torn)
-    return AuditRecord.from_line(lines[0]), _line_hash(lines[0]), len(torn)
-
-
-def _tail_lines(audit_path: Path, n: int) -> list[bytes]:
-    """The last n non-empty lines of the audit log, oldest first, an
-    unterminated last line included."""
-    if n <= 0:
-        return []
-    lines, torn = _tail(audit_path, n)
-    return (lines + [torn] if torn else lines)[-n:]
-
-
-def _tail(audit_path: Path, n: int) -> tuple[list[bytes], bytes]:
-    """The last n >= 1 non-empty lines of the audit log that end in a line
-    end, oldest first, and the unterminated bytes after the last line end
-    (b"" when the log ends in one)."""
     lines = _lines_backwards(audit_path)
-    torn = next(lines)
-    return list(islice(lines, n))[::-1], torn
+    torn = len(next(lines))
+    line = next(filter(None, lines), None)
+    if line is None:
+        return None, GENESIS_HASH, torn
+    return AuditRecord.from_line(line), _line_hash(line), torn
 
 
-def _whole_lines(audit_path: Path) -> tuple[list[bytes], int]:
+def _whole_lines(audit_path: Path) -> list[bytes]:
     """All lines of the audit log that end in a line end, blank ones
-    included, and the length of the unterminated bytes after the last line
-    end. Reads the whole log."""
-    if not audit_path.exists():
-        return [], 0
-    content = audit_path.read_bytes()
-    torn = len(content) - 1 - max(content.rfind(b"\n"), content.rfind(b"\r"))
-    lines = content.splitlines()
-    if torn:
-        del lines[-1]
-    return lines, torn
+    included, oldest first. Reads the whole log."""
+    lines = _lines_backwards(audit_path)
+    next(lines)  # the torn tail
+    return list(lines)[::-1]
 
 
 def _lines_backwards(audit_path: Path) -> Iterator[bytes]:
     """First the unterminated bytes after the last line end of the audit log
-    (b"" when it ends in one or is missing), then each non-empty line that
-    ends in a line end, newest first. Reads backwards from the end in blocks,
-    only as far as the caller iterates, so the cost grows with the lines
-    taken, not with the log. Lines end at LF or CR, as with
-    bytes.splitlines(); a CRLF split across two blocks only yields an empty
-    line, which is skipped like any other."""
-    if not audit_path.exists():
+    (b"" when it ends in one or is missing), then each line that ends in a
+    line end, newest first, blank ones included: the lines of
+    bytes.splitlines() over the log up to its last line end, in reverse.
+    Reads backwards from the end in blocks, only as far as the caller
+    iterates, so the cost grows with the lines taken, not with the log. The
+    first line of a block may begin in the block before it, so it is carried
+    into that block and split again with it."""
+    torn: bytes | None = None  # set at the log's last line, the first one split off
+    if audit_path.exists():
+        with open(audit_path, "rb") as fh:
+            pos = fh.seek(0, os.SEEK_END)
+            step = _TAIL_BLOCK
+            carry = b""
+            while pos > 0:
+                step = min(step, pos)
+                pos -= step
+                fh.seek(pos)
+                lines = (fh.read(step) + carry).splitlines(keepends=True)
+                carry = lines.pop(0) if pos else b""
+                if not lines:  # all one line so far: doubling keeps the re-splits linear
+                    step *= 2
+                for line in reversed(lines):
+                    whole = line.rstrip(b"\r\n")
+                    if torn is None:
+                        torn = b"" if whole != line else line
+                        yield torn
+                        if torn:
+                            continue
+                    yield whole
+    if torn is None:  # a missing or empty log
         yield b""
-        return
-    with open(audit_path, "rb") as fh:
-        pos = fh.seek(0, os.SEEK_END)
-        pending = b""  # bytes before the first line end seen so far
-        torn: bytes | None = None  # set at the first block holding a line end
-        while pos > 0:
-            step = min(_TAIL_BLOCK, pos)
-            pos -= step
-            fh.seek(pos)
-            buf = fh.read(step) + pending
-            ends = [i for i in (buf.find(b"\n"), buf.find(b"\r")) if i >= 0]
-            if not ends:
-                pending = buf
-                continue
-            if torn is None:
-                last_end = max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1
-                torn, buf = buf[last_end:], buf[:last_end]
-                yield torn
-            cut = min(ends)
-            pending, whole = buf[:cut], buf[cut:]
-            for line in reversed(whole.splitlines()):
-                if line:
-                    yield line
-        if torn is None:  # no line end anywhere: the whole log is one torn line
-            yield pending
-        elif pending:
-            yield pending
 
 
 def _archive_existing(path: Path) -> Path:

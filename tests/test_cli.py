@@ -11,6 +11,7 @@ import pytest
 
 from faarm import harness
 from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
+from faarm.state import AuditEvent, AuditRecord, SecureStateStore, read_audit
 
 FW = bytes((i * 37) % 256 for i in range(4096))
 COMMANDS = ["keygen", "sign", "provision", "verify", "status", "log", "attack", "bench", "demo"]
@@ -261,6 +262,74 @@ class TestStatusAndLog:
         log_path.write_bytes(b"".join(lines[:1] + lines[2:]))  # drop the middle
         out = cli("log", "--state", str(workshop["state"]), "--check", expect=1)
         assert "FAILED" in out.err
+
+    def test_log_check_fails_a_log_cut_below_the_counter(self, cli, workshop):
+        state = str(workshop["state"])
+        cli("verify", str(workshop["bundle"]), "--state", state)
+        log_path = workshop["state"] / "audit.log"
+        log_path.write_bytes(log_path.read_bytes().splitlines(keepends=True)[0])
+        assert "nv_counter: 1" in cli("status", "--state", state).out
+        out = cli("log", "--state", state, "--check", expect=1)
+        assert out.err == (
+            "audit check FAILED: the last logged accept is version 0, "
+            "below the committed counter 1\n"
+        )
+
+    def test_log_check_fails_a_missing_log_below_the_counter(self, cli, workshop):
+        state = str(workshop["state"])
+        cli("verify", str(workshop["bundle"]), "--state", state)
+        (workshop["state"] / "audit.log").unlink()
+        out = cli("log", "--state", state, "--check", expect=1)
+        assert "below the committed counter 1" in out.err
+
+    def test_log_check_of_an_unprovisioned_directory_is_a_usage_error(self, cli, tmp_path):
+        out = cli("log", "--state", str(tmp_path / "missing"), "--check", expect=2)
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "no provisioned state" in out.err
+
+    def test_log_check_passes_an_accept_above_the_counter(self, cli, workshop):
+        # a crash between the accept record and the counter commit, which the
+        # next load rolls forward
+        state = str(workshop["state"])
+        cli("verify", str(workshop["bundle"]), "--state", state)
+        state_json = workshop["state"] / "state.json"
+        obj = json.loads(state_json.read_text())
+        obj["nv_counter"] = 0
+        state_json.write_text(json.dumps(obj))
+        out = cli("log", "--state", state, "--check")
+        assert out.out.startswith("chain OK")
+
+    def test_log_check_reports_a_broken_link_before_a_replay_error(self, cli, workshop):
+        # the edited accept breaks the replay at its own line and the chain at
+        # the next one; the chain error is the one reported
+        cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]))
+        with SecureStateStore.load(workshop["state"], durable=False) as store:
+            store.append_audit(AuditEvent.TASK_DENY, detail="after the accept")
+        log_path = workshop["state"] / "audit.log"
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        accept = next(i for i, line in enumerate(lines) if b"VERIFY_ACCEPT" in line)
+        lines[accept] = lines[accept].replace(b'"version":1', b'"version":0')
+        log_path.write_bytes(b"".join(lines))
+        out = cli("log", "--state", str(workshop["state"]), "--check", expect=1)
+        assert out.err == f"audit check FAILED: audit.log line {accept + 2}: hash chain broken\n"
+
+    def test_log_check_parses_each_record_once(self, cli, workshop):
+        cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]))
+        with SecureStateStore.load(workshop["state"], durable=False) as store:
+            for i in range(200):
+                store.append_audit(AuditEvent.TASK_DENY, detail=f"task {i}")
+        count = len(read_audit(workshop["state"]))
+        calls = []
+        from_line = AuditRecord.from_line
+
+        def counting(line):
+            calls.append(line)
+            return from_line(line)
+
+        with mock.patch.object(AuditRecord, "from_line", staticmethod(counting)):
+            out = cli("log", "--state", str(workshop["state"]), "--check")
+        assert out.out == f"chain OK, {count} records\n"
+        assert len(calls) == count == len(set(calls))
 
     def test_readers_tolerate_a_torn_last_line(self, cli, workshop):
         state = str(workshop["state"])

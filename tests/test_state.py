@@ -515,16 +515,90 @@ class TestAuditTail:
         self, parts, ends_with_newline, block
     ):
         content = self.log_content(parts, ends_with_newline)
-        lines = [line for line in content.splitlines() if line]
-        all_records = all(isinstance(body, int) for body, _ in parts)
+        end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
+        lines = [line for line in content[:end].splitlines() if line]
         with tempfile.TemporaryDirectory() as tmp:
-            log = Path(tmp) / "audit.log"
-            log.write_bytes(content)
+            (Path(tmp) / "audit.log").write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
                 for n in (0, 1, 5, len(lines) + 1):
-                    assert state._tail_lines(log, n) == last(lines, n)
-                    if all_records:
-                        assert read_audit_tail(tmp, n) == last(read_audit(tmp), n)
+                    expected = outcome(
+                        lambda tail: [AuditRecord.from_line(line) for line in tail],
+                        last(lines, n),
+                    )
+                    assert outcome(lambda path: read_audit_tail(path, n), tmp) == expected
+
+
+def reference_chain(content: bytes) -> int:
+    """Reference: the chain walk over the whole log split at once, up to its
+    last line end."""
+    end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
+    lines = content[:end].splitlines()
+    prev = "0" * 64
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            raise AuditChainError(line_no, "blank line inside the log")
+        try:
+            record = AuditRecord.from_line(line)
+        except StateError as exc:
+            raise AuditChainError(line_no, str(exc)) from None
+        if record.prev != prev:
+            raise AuditChainError(line_no, "hash chain broken")
+        if record.seq != line_no:
+            raise AuditChainError(line_no, f"sequence gap: expected {line_no}, got {record.seq}")
+        prev = hashlib.sha256(line).hexdigest()
+    return len(lines)
+
+
+def chain_outcome(check, arg):
+    try:
+        return check(arg)
+    except AuditChainError as exc:
+        return exc.line_no, str(exc)
+
+
+class TestChainWalk:
+    records = st.lists(
+        st.tuples(st.integers(0, 200), st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=10
+    )
+    # at most one extra part, at any index: garbage, or a record followed by
+    # a blank line, breaks the chain where it stands
+    fault = st.none() | st.tuples(
+        st.integers(0, 10),
+        st.tuples(
+            st.binary(max_size=40) | st.integers(0, 200),
+            st.sampled_from([b"\n\n", b"\r\r\n", b"\n"]),
+        ),
+    )
+
+    @staticmethod
+    def chained_content(parts, ends_with_newline: bool) -> bytes:
+        """Records linked to the line before them, with the line number as
+        their seq, or raw garbage, joined by the given line ends."""
+        content = b""
+        for body, sep in parts:
+            if isinstance(body, int):
+                lines = content.splitlines()
+                body = AuditRecord(
+                    seq=len(lines) + 1, time="2025-01-01T00:00:00.000Z",
+                    event=AuditEvent.TASK_DENY, detail="d" * body,
+                    prev=hashlib.sha256(lines[-1]).hexdigest() if lines else "0" * 64,
+                ).to_line()
+            content += body + sep
+        if content and not ends_with_newline:
+            content = content.rstrip(b"\r\n")
+        return content
+
+    @given(records, fault, st.booleans(), st.integers(1, 64))
+    def test_matches_a_full_split_at_any_block_size(self, parts, fault, ends_with_newline, block):
+        if fault is not None:
+            parts.insert(fault[0], fault[1])
+        content = self.chained_content(parts, ends_with_newline)
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "audit.log").write_bytes(content)
+            with mock.patch.object(state, "_TAIL_BLOCK", block):
+                assert chain_outcome(check_audit_chain, tmp) == chain_outcome(
+                    reference_chain, content
+                )
 
 
 def reference_line(record: AuditRecord) -> bytes:
@@ -613,6 +687,25 @@ class TestTornTailReaders:
         assert check_audit_chain(store.path) == len(records)
         assert state.torn_tail_bytes(store.path) == len(self.TORN)
         assert log.read_bytes() == raw
+
+    def test_a_line_longer_than_a_block_is_read_in_doubling_steps(self, tmp_path, monkeypatch):
+        # re-splitting the carried line once per fixed-size block would make
+        # a long line cost quadratic time
+        (tmp_path / "audit.log").write_bytes(b"x" * 10_000 + b"\n" + b"y" * 100_000)
+        reads = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(state, "_TAIL_BLOCK", 16)
+        monkeypatch.setattr(state, "open", lambda path, mode: CountingFile(path), raising=False)
+        assert state.torn_tail_bytes(tmp_path) == 100_000
+        assert len(reads) <= 14 and sum(reads) <= 2 * 100_000
+        reads.clear()
+        assert list(state._lines_backwards(tmp_path / "audit.log")) == [b"y" * 100_000, b"x" * 10_000]
+        assert len(reads) <= 15 and sum(reads) == 110_001
 
     def test_missing_log(self, tmp_path):
         assert read_audit(tmp_path) == []
