@@ -4,17 +4,23 @@ session rechecks, and the task admission gate.
 Load protocol, in order (a failing step rejects with the reason shown, appends
 a VERIFY_REJECT record, and leaves both the counter and the region untouched):
 
-  1. freeze the firmware image as bytes and hash it, once
-  2. compare against the manifest hash            -> hash-mismatch
-  3. verify the signature over digest||manifest   -> bad-signature
-  4. manifest identity matches this monitor       -> malformed-bundle
-  5. version strictly above the committed counter -> rollback
-  6. every manifest flag is known                 -> unknown-flag
-  7. image fits the region                        -> oversize
-  8. secure write of the step-1 bytes + lock with
-     the step-1 digest, in one critical section
+  1. parse the bundle (verify_bundle only)         -> malformed-bundle
+  2. image fits the region, by its length alone   -> oversize
+     (verify_bundle checks it before the image is read)
+  3. freeze the firmware image as bytes and hash it, once
+  4. compare against the manifest hash            -> hash-mismatch
+  5. verify the signature over digest||manifest   -> bad-signature
+  6. manifest identity matches this monitor       -> malformed-bundle
+  7. version strictly above the committed counter -> rollback
+  8. every manifest flag is known                 -> unknown-flag
+  9. secure write of the step-3 bytes + lock with
+     the step-3 digest, in one critical section
      (no EL1 write can interleave)                -> lock-failed
-  9. VERIFY_ACCEPT, counter commit, token issue
+ 10. VERIFY_ACCEPT, counter commit, token issue
+
+The size gate comes first because it needs only the image's length, which
+the bundle's author already knows, so it tells a prober nothing about the
+gates behind it, and an oversize image costs no read, hash or signature check.
 
 Verification and locking happen inside one serialized entry point: the TOCTOU
 window between "checked" and "locked" is closed by construction, and the
@@ -37,6 +43,7 @@ from .packaging import (
     FLAG_REQUIRES_LOCK,
     BundleError,
     FirmwarePackage,
+    ImageTooLarge,
     ManifestError,
     canonical_bytes,
     read_bundle,
@@ -178,6 +185,8 @@ class Monitor:
             manifest = package.manifest
             version = manifest.version
             self.region.fire(HookPoint.PRE_VERIFY)
+            if len(firmware) > self.region.capacity:
+                return self._reject_oversize(len(firmware), version, t_total)
 
             t_verify = time.perf_counter()
             digest = hash_data(firmware)
@@ -216,12 +225,6 @@ class Monitor:
             if unknown:
                 return self._reject(
                     RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}",
-                    version, t_total, verify_ms,
-                )
-            if len(firmware) > self.region.capacity:
-                return self._reject(
-                    RejectionReason.OVERSIZE,
-                    f"{len(firmware)} bytes exceeds region capacity {self.region.capacity}",
                     version, t_total, verify_ms,
                 )
             requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
@@ -267,13 +270,17 @@ class Monitor:
 
     def verify_bundle(self, path: str | Path) -> VerifyResult:
         """Read a bundle from disk and run the load protocol; parse failures
-        reject as malformed-bundle."""
+        reject as malformed-bundle, and an image over the region's capacity
+        rejects as oversize without being read."""
         t0 = time.perf_counter()
         try:
-            package = read_bundle(path)
+            package = read_bundle(path, max_firmware=self.region.capacity)
         except (BundleError, ManifestError, CryptoError) as exc:
             with self._serial:
                 return self._reject(RejectionReason.MALFORMED_BUNDLE, str(exc), None, t0)
+        except ImageTooLarge as exc:
+            with self._serial:
+                return self._reject_oversize(exc.size, exc.manifest.version, t0)
         return self.verify_and_lock(package)
 
     # -- sessions and tasks ---------------------------------------------------
@@ -355,6 +362,13 @@ class Monitor:
             accepted=False, reason=reason, detail=detail,
             version=version, digest=None, token=None,
             timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
+        )
+
+    def _reject_oversize(self, size: int, version: int, t_total: float) -> VerifyResult:
+        return self._reject(
+            RejectionReason.OVERSIZE,
+            f"{size} bytes exceeds region capacity {self.region.capacity}",
+            version, t_total,
         )
 
     def _region_clean(self) -> bool:

@@ -28,6 +28,7 @@ from .crypto import (
     sign,
     signing_payload,
 )
+from .mcu import DEFAULT_CAPACITY
 
 DEFAULT_MCU_ID = "MALI-MCU-XYZ"
 MANIFEST_KEYS = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
@@ -37,6 +38,8 @@ MAX_MANIFEST_BYTES = 64 * 1024
 FIRMWARE_NAME = "firmware.bin"
 MANIFEST_NAME = "manifest.json"
 SIGNATURE_NAME = "firmware.sig"
+
+_READ_STEP = 1 << 20  # bundle file bytes asked for per read past the fstat size
 
 PKG_SUFFIX = ".pkg"
 PKG_MAGIC = b"FPK1"
@@ -57,6 +60,17 @@ class BundleError(Exception):
     def __init__(self, part: str, message: str):
         self.part = part
         super().__init__(f"{part}: {message}")
+
+
+class ImageTooLarge(Exception):
+    """A well-formed bundle whose image is over the read bound; raised before
+    the image is read. Not a BundleError: the bundle is not malformed, and
+    the caller rejects it against the manifest it carries."""
+
+    def __init__(self, size: int, limit: int, manifest: Manifest):
+        self.size = size
+        self.manifest = manifest
+        super().__init__(f"{FIRMWARE_NAME}: {size} bytes exceeds {limit}")
 
 
 def _validate_timestamp(value: object) -> None:
@@ -224,8 +238,14 @@ def write_bundle(package: FirmwarePackage, path: str | Path) -> Path:
     return path
 
 
-def read_bundle(path: str | Path) -> FirmwarePackage:
+def read_bundle(path: str | Path, *, max_firmware: int = DEFAULT_CAPACITY) -> FirmwarePackage:
     """Read and validate a bundle written by write_bundle.
+
+    Every part's size is checked before its body is read: from fstat for a
+    directory bundle, from the length header for a .pkg container. An image
+    over max_firmware raises ImageTooLarge without being read, but only after
+    every container and manifest check has passed, so a malformed bundle
+    still fails as one. At most max_firmware + 1 image bytes are ever read.
 
     The returned signature carries scheme=None (the file format has no scheme
     tag); manifest parsing is strict. Raises BundleError/ManifestError on any
@@ -233,48 +253,88 @@ def read_bundle(path: str | Path) -> FirmwarePackage:
     """
     path = Path(path)
     if path.is_dir():
-        parts = {}
-        for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
-            part_path = path / name
-            if not part_path.is_file():
+        parts = {name: path / name for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME)}
+        # is_file first: opening a FIFO named like a part would block
+        for name, part in parts.items():
+            if not part.is_file():
                 raise BundleError(name, "missing from bundle directory")
-            parts[name] = part_path.read_bytes()
-        firmware = parts[FIRMWARE_NAME]
-        manifest_raw = parts[MANIFEST_NAME]
-        signature_raw = parts[SIGNATURE_NAME]
+        manifest, signature = _parse_parts(
+            _read_file(parts[MANIFEST_NAME], MAX_MANIFEST_BYTES),
+            _read_file(parts[SIGNATURE_NAME], SIGNATURE_SIZE),
+        )
+        firmware_size, firmware = _read_file(parts[FIRMWARE_NAME], max_firmware)
     elif path.is_file():
-        firmware, manifest_raw, signature_raw = _read_container(path)
+        (firmware_size, firmware), manifest_part, signature_part = _read_container(
+            path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
+        )
+        manifest, signature = _parse_parts(manifest_part, signature_part)
     else:
         raise BundleError("bundle", f"no such bundle: {path}")
+    if firmware_size > max_firmware:
+        raise ImageTooLarge(firmware_size, max_firmware, manifest)
+    return FirmwarePackage(firmware, manifest, signature)
 
-    if len(manifest_raw) > MAX_MANIFEST_BYTES:
+
+def _parse_parts(
+    manifest_part: tuple[int, bytes], signature_part: tuple[int, bytes]
+) -> tuple[Manifest, Signature]:
+    """Check the (size, body) of the manifest and the signature, in that
+    order, then parse the manifest."""
+    manifest_size, manifest_raw = manifest_part
+    signature_size, signature_raw = signature_part
+    if manifest_size > MAX_MANIFEST_BYTES:
         raise BundleError(MANIFEST_NAME, f"exceeds {MAX_MANIFEST_BYTES} bytes")
-    if len(signature_raw) != SIGNATURE_SIZE:
-        raise BundleError(SIGNATURE_NAME, f"must be {SIGNATURE_SIZE} bytes, got {len(signature_raw)}")
-    manifest = parse_manifest(manifest_raw)
-    return FirmwarePackage(firmware, manifest, Signature(signature_raw, None))
+    if signature_size != SIGNATURE_SIZE:
+        raise BundleError(SIGNATURE_NAME, f"must be {SIGNATURE_SIZE} bytes, got {signature_size}")
+    return parse_manifest(manifest_raw), Signature(signature_raw, None)
 
 
-def _read_container(path: Path) -> list[bytes]:
-    """The three sections of a .pkg container, each read straight from the
-    file so the image is held once. Every length header is checked against
-    the bytes left in the file before its section is read."""
+def _read_file(path: Path, limit: int) -> tuple[int, bytes]:
+    """(size, body) of one bundle file. A file that fstat shows is over
+    `limit` is not read (body b""). Otherwise it is read to its end or to
+    one byte past `limit`, and the size is what was read, so a file that
+    grew after the fstat still fails its size check. The first read asks for
+    the fstat size + 1, later ones for at most _READ_STEP: read(n) allocates
+    n bytes up front, and the limit can be far above the file's size."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > limit:
+            return size, b""
+        chunks = [fh.read(size + 1)]
+        total = len(chunks[0])
+        while total <= limit and (chunk := fh.read(min(limit + 1 - total, _READ_STEP))):
+            chunks.append(chunk)
+            total += len(chunk)
+    return total, b"".join(chunks)
+
+
+def _read_container(path: Path, limits: tuple[int, int, int]) -> list[tuple[int, bytes]]:
+    """(size, body) of each of the three sections of a .pkg container, each
+    body read straight from the file so the image is held once. Every length
+    header is checked against the bytes left in the file before its section
+    is read; a section over its limit is then skipped unread (body b"", size
+    from the header), which keeps the later sections' checks ahead of the
+    size checks."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(PKG_MAGIC)) != PKG_MAGIC:
             raise BundleError("container", "bad magic; not a firmware package container")
         offset = len(PKG_MAGIC)
         sections = []
-        for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
+        for name, limit in zip((FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME), limits):
             header = fh.read(_PKG_LEN.size) if size - offset >= _PKG_LEN.size else b""
             if len(header) != _PKG_LEN.size:
                 raise BundleError(name, "container truncated in length header")
             (length,) = _PKG_LEN.unpack(header)
             offset += _PKG_LEN.size
-            body = fh.read(length) if length <= size - offset else b""
-            if len(body) != length:
+            if length > size - offset:
                 raise BundleError(name, "container truncated in section body")
-            sections.append(body)
+            if length > limit:
+                fh.seek(length, os.SEEK_CUR)
+                sections.append((length, b""))
+            else:
+                body = fh.read(length)
+                sections.append((len(body), body))
             offset += length
         if offset != size:
             raise BundleError("container", f"{size - offset} trailing bytes")

@@ -1,4 +1,7 @@
+import os
+import struct
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from faarm.crypto import KeyPair, SignatureScheme, keygen
 from faarm.mcu import LockMode, McuRegion
 from faarm.monitor import Monitor
-from faarm.packaging import FirmwarePackage, build_package
+from faarm.packaging import PKG_MAGIC, FirmwarePackage, build_package
 from faarm.state import SecureStateStore
 
 settings.register_profile(
@@ -23,6 +26,32 @@ settings.load_profile("default")
 
 TEST_MCU_ID = "MALI-MCU-XYZ"
 TEST_TIMESTAMP = "2025-10-10T12:00:00Z"
+
+
+def write_container(path: Path, sections) -> Path:
+    """Write a .pkg container from its three sections. A section given as an
+    int is that many zero bytes, left as a hole so the file stays sparse."""
+    with open(path, "wb") as fh:
+        fh.write(PKG_MAGIC)
+        for section in sections:
+            if isinstance(section, int):
+                fh.write(struct.pack("<Q", section))
+                fh.seek(section, os.SEEK_CUR)
+            else:
+                fh.write(struct.pack("<Q", len(section)) + section)
+        fh.truncate()
+    return path
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory Python allocated during it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

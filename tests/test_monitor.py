@@ -1,4 +1,5 @@
 import io
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import faarm.mcu
 import faarm.monitor
-from faarm import state
+from faarm import packaging, state
 from faarm.crypto import Digest, Signature, hash_data, keygen, SignatureScheme
 from faarm.mcu import HookPoint, LockMode, LockState
 from faarm.monitor import (
@@ -23,14 +24,30 @@ from faarm.monitor import (
     derive_status,
     replay_protocol_invariants,
 )
-from faarm.packaging import FirmwarePackage, write_bundle
+from faarm.packaging import FLAG_REQUIRES_LOCK, FirmwarePackage, canonical_bytes, write_bundle
 from faarm.state import AuditEvent, SecureStateStore, read_audit
 
+from conftest import traced_peak, write_container
+
 FW = bytes(range(256)) * 8  # 2 KiB
+GIB = 1 << 30
 
 
 def events_of(env):
     return [r.event for r in env.store.read_records()]
+
+
+def write_sparse_image_bundle(path, image_size, manifest_raw, signature):
+    """A bundle (directory, or .pkg by suffix) whose image is image_size zero
+    bytes left as a hole: a tampered image that costs no disk."""
+    if path.suffix == ".pkg":
+        return write_container(path, (image_size, manifest_raw, signature))
+    path.mkdir()
+    (path / "manifest.json").write_bytes(manifest_raw)
+    (path / "firmware.sig").write_bytes(signature)
+    (path / "firmware.bin").write_bytes(b"")
+    os.truncate(path / "firmware.bin", image_size)
+    return path
 
 
 class TestAcceptPath:
@@ -156,13 +173,33 @@ class TestRejections:
         assert result.reason is RejectionReason.MALFORMED_BUNDLE
         assert result.exit_code == 15
 
-    def test_oversize_firmware_is_rejected(self, make_env):
+    @pytest.mark.parametrize("source", ["memory", "bundle", "bundle.pkg"])
+    def test_oversize_firmware_is_rejected(self, make_env, tmp_path, source):
+        # from disk: a sparse 1 GiB tampered image, rejected without being read
         env = make_env(capacity=1024)
-        big = bytes(2048)
-        result = env.monitor.verify_and_lock(env.package(big, 1))
+        if source == "memory":
+            size = 2048
+            package = env.package(bytes(size), 1)
+            result, peak = traced_peak(lambda: env.monitor.verify_and_lock(package))
+        else:
+            size = GIB
+            package = env.package(FW, 1)
+            path = write_sparse_image_bundle(
+                tmp_path / source, size, canonical_bytes(package.manifest),
+                package.signature.data,
+            )
+            result, peak = traced_peak(lambda: env.monitor.verify_bundle(path))
         assert result.reason is RejectionReason.OVERSIZE
         assert result.exit_code == 16
+        assert result.detail == f"{size} bytes exceeds region capacity 1024"
+        assert result.version == 1
+        assert peak < 1 << 20
         assert env.region.size() == 0
+        assert env.store.nv_counter == 0
+        rejects = [r for r in env.store.read_records() if r.event is AuditEvent.VERIFY_REJECT]
+        assert [(r.reason, r.version, r.detail) for r in rejects] == [
+            ("oversize", 1, result.detail)
+        ]
 
     def test_lock_fault_with_requires_lock_rejects_and_restores(self, env):
         env.monitor.verify_and_lock(env.package(FW, 1))
@@ -209,6 +246,51 @@ class TestRejections:
         result = env.monitor.verify_and_lock(evil)
         assert result.reason is RejectionReason.BAD_SIGNATURE
 
+    @pytest.mark.parametrize("entry", ["verify_and_lock", "bundle", "bundle.pkg"])
+    @pytest.mark.parametrize("fault, own_reason", [
+        ("tampered-image", RejectionReason.HASH_MISMATCH),
+        ("zeroed-signature", RejectionReason.BAD_SIGNATURE),
+        ("wrong-mcu-id", RejectionReason.MALFORMED_BUNDLE),
+        ("old-version", RejectionReason.ROLLBACK),
+        ("unknown-flag", RejectionReason.UNKNOWN_FLAG),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_size_checked_before_every_other_gate(
+        self, make_env, tmp_path, monkeypatch, fault, own_reason, entry
+    ):
+        env = make_env(capacity=1024)
+        assert env.monitor.verify_and_lock(env.package(FW[:1024], 5)).accepted
+        image = FW * 2
+        kwargs = {
+            "wrong-mcu-id": {"mcu_id": "SOME-OTHER-MCU"},
+            "unknown-flag": {"flags": (FLAG_REQUIRES_LOCK, "debug_unlock")},
+        }.get(fault, {})
+        version = 1 if fault == "old-version" else 6
+        pkg = env.package(image, version, **kwargs)
+        if fault == "tampered-image":
+            pkg = pkg._replace(firmware=bytes([image[0] ^ 1]) + image[1:])
+        elif fault == "zeroed-signature":
+            pkg = pkg._replace(signature=Signature(bytes(64)))
+        if entry == "verify_and_lock":
+            run = lambda: env.monitor.verify_and_lock(pkg)  # noqa: E731
+        else:
+            path = write_bundle(pkg, tmp_path / entry)
+            run = lambda: env.monitor.verify_bundle(path)  # noqa: E731
+
+        hashed = []
+        monkeypatch.setattr(faarm.monitor, "hash_data", hashed.append)
+        result = run()
+        assert result.reason is RejectionReason.OVERSIZE
+        assert result.detail == f"{len(image)} bytes exceeds region capacity 1024"
+        assert result.version == version
+        assert hashed == []
+        assert env.store.nv_counter == 5
+        assert env.region.read() == FW[:1024]
+
+        # with room for the image, the same bundle fails on its own fault
+        monkeypatch.undo()
+        env.region.capacity = len(image)
+        assert run().reason is own_reason
+
 
 class TestVerifyBundle:
     def test_bundle_roundtrip_through_disk(self, env, tmp_path):
@@ -222,6 +304,45 @@ class TestVerifyBundle:
         result = env.monitor.verify_bundle(path)
         assert result.reason is RejectionReason.MALFORMED_BUNDLE
         assert "manifest.json" in result.detail
+
+    @pytest.mark.parametrize("kind", ["bundle", "bundle.pkg"])
+    def test_malformed_manifest_wins_over_oversize(self, env, tmp_path, kind):
+        pkg = env.package(FW, 1)
+        path = write_sparse_image_bundle(
+            tmp_path / kind, GIB, b" " + canonical_bytes(pkg.manifest), pkg.signature.data
+        )
+        result = env.monitor.verify_bundle(path)
+        assert result.reason is RejectionReason.MALFORMED_BUNDLE
+        assert result.detail == "manifest: not in canonical serialization"
+        assert result.version is None
+
+    def test_an_image_that_grows_after_the_fstat_is_still_oversize(
+        self, make_env, tmp_path, monkeypatch
+    ):
+        env = make_env(capacity=1024)
+        path = write_bundle(env.package(FW, 1), tmp_path / "bundle")
+        read = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append((Path(self.name).name, len(data)))
+                return data
+
+        real_fstat = os.fstat
+
+        def under_reporting_fstat(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], 0, *st[7:]))
+
+        monkeypatch.setattr(packaging.os, "fstat", under_reporting_fstat)
+        monkeypatch.setattr(packaging, "open", lambda p, *_, **__: CountingFile(p), raising=False)
+        result = env.monitor.verify_bundle(path)
+        assert result.reason is RejectionReason.OVERSIZE
+        assert result.detail == "1025 bytes exceeds region capacity 1024"
+        assert sum(n for name, n in read if name == "firmware.bin") <= 1025
+        # a far bound reads the grown file to its end in steps, not in one huge read
+        assert packaging.read_bundle(path, max_firmware=1 << 62).firmware == FW
 
     def test_malformed_manifest_is_rejected_with_audit(self, env, tmp_path):
         path = write_bundle(env.package(FW, 1), tmp_path / "bundle")

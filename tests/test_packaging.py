@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import tracemalloc
 
@@ -19,6 +20,7 @@ from faarm.packaging import (
     MAX_MANIFEST_BYTES,
     PKG_MAGIC,
     BundleError,
+    ImageTooLarge,
     Manifest,
     ManifestError,
     build_package,
@@ -28,7 +30,7 @@ from faarm.packaging import (
     write_bundle,
 )
 
-from conftest import TEST_MCU_ID, TEST_TIMESTAMP
+from conftest import TEST_MCU_ID, TEST_TIMESTAMP, traced_peak, write_container
 
 # Frozen fixture: the reference manifest and its canonical serialization.
 FIXTURE_HASH = "f1ad9a781903e0a6ca7f0197d5036ceb4d74ce173f000f3006e6cdb4bdf1d654"
@@ -317,6 +319,74 @@ class TestBundles:
         (path / "firmware.sig").write_bytes(b"\x00" * 63)
         with pytest.raises(BundleError, match="64 bytes"):
             read_bundle(path)
+
+    @pytest.mark.parametrize("kind", ["bundle", "bundle.pkg"])
+    @pytest.mark.parametrize("part, message", [
+        ("manifest.json", "manifest.json: exceeds 65536 bytes"),
+        ("firmware.sig", "firmware.sig: must be 64 bytes, got 1073741824"),
+    ], ids=["manifest.json", "firmware.sig"])
+    def test_a_sparse_1gib_part_fails_unread(self, tmp_path, ed25519_key, part, message, kind):
+        pkg = build_package(
+            b"fw", version=1, mcu_id=TEST_MCU_ID, key=ed25519_key, timestamp=TEST_TIMESTAMP
+        )
+        path = tmp_path / kind
+        if kind.endswith(".pkg"):
+            sections = {"firmware.bin": pkg.firmware, "manifest.json": canonical_bytes(pkg.manifest),
+                        "firmware.sig": pkg.signature.data}
+            sections[part] = 1 << 30
+            write_container(path, sections.values())
+        else:
+            write_bundle(pkg, path)
+            os.truncate(path / part, 1 << 30)
+        err, peak = traced_peak(lambda: pytest.raises(BundleError, read_bundle, path))
+        assert str(err.value) == message
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind, fault", [
+        ("bundle", "none"),
+        ("bundle.pkg", "none"),
+        ("bundle", "short-signature"),
+        ("bundle.pkg", "short-signature"),
+        ("bundle", "bad-manifest"),
+        ("bundle.pkg", "bad-manifest"),
+        ("bundle.pkg", "trailing-bytes"),
+    ])
+    def test_the_image_bound_is_checked_after_every_format_check(
+        self, tmp_path, ed25519_key, kind, fault
+    ):
+        fw = bytes(range(256)) * 4
+        pkg = build_package(
+            fw, version=4, mcu_id=TEST_MCU_ID, key=ed25519_key, timestamp=TEST_TIMESTAMP
+        )
+        manifest_raw, signature_raw = canonical_bytes(pkg.manifest), pkg.signature.data
+        if fault == "short-signature":
+            signature_raw = signature_raw[:63]
+        elif fault == "bad-manifest":
+            manifest_raw = b" " + manifest_raw
+        path = tmp_path / kind
+        if kind.endswith(".pkg"):
+            write_container(path, (fw, manifest_raw, signature_raw))
+            if fault == "trailing-bytes":
+                path.write_bytes(path.read_bytes() + b"extra")
+        else:
+            write_bundle(pkg, path)
+            (path / "manifest.json").write_bytes(manifest_raw)
+            (path / "firmware.sig").write_bytes(signature_raw)
+        if fault == "none":
+            for bound in (len(fw), 1 << 62):  # the file's size, not the bound, sizes the read
+                back = read_bundle(path, max_firmware=bound)
+                assert (back.firmware, back.manifest) == (fw, pkg.manifest)
+            with pytest.raises(ImageTooLarge) as err:
+                read_bundle(path, max_firmware=len(fw) - 1)
+            assert (err.value.size, err.value.manifest) == (len(fw), pkg.manifest)
+        else:
+            with pytest.raises((BundleError, ManifestError)) as err:
+                read_bundle(path, max_firmware=len(fw) - 1)
+            assert str(err.value) == {
+                "short-signature": "firmware.sig: must be 64 bytes, got 63",
+                "bad-manifest": "manifest: not in canonical serialization",
+                "trailing-bytes": "container: 5 trailing bytes",
+            }[fault]
 
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(BundleError, match="no such bundle"):
