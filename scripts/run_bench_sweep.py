@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from faarm import harness
 from faarm.crypto import SignatureScheme
+from faarm.monitor import STAGES
 
 DEFAULT_SIZES = [64 * 1024, 256 * 1024, 1024 * 1024, 4 * 1024 * 1024, 16 * 1024 * 1024]
 
@@ -42,8 +43,8 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = ["scheme,firmware_size,runs,verify_mean_ms,verify_std_ms,lock_mean_ms,"
-            "lock_std_ms,total_mean_ms,total_std_ms,overhead_pct"]
+    stage_columns = ",".join(f"{stage}_mean_ms,{stage}_std_ms" for stage in STAGES)
+    rows = [f"scheme,firmware_size,runs,{stage_columns},overhead_pct"]
     for scheme in schemes:
         for size in sizes:
             result = harness.run_bench(
@@ -56,12 +57,11 @@ def main() -> int:
             stats = result.stats()
             cell = out / f"bench-{scheme.value}-{size}.json"
             cell.write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+            stage_cells = ",".join(
+                f"{stats[stage].mean_ms:.4f},{stats[stage].std_ms:.4f}" for stage in STAGES
+            )
             rows.append(
-                f"{scheme.value},{size},{args.runs},"
-                f"{stats['verify'].mean_ms:.4f},{stats['verify'].std_ms:.4f},"
-                f"{stats['lock'].mean_ms:.4f},{stats['lock'].std_ms:.4f},"
-                f"{stats['total'].mean_ms:.4f},{stats['total'].std_ms:.4f},"
-                f"{result.overhead_pct:.3f}"
+                f"{scheme.value},{size},{args.runs},{stage_cells},{result.overhead_pct:.3f}"
             )
             print(
                 f"{scheme.value:>11} {size:>9} B: total "

@@ -165,11 +165,7 @@ def _result_json(result, region: McuRegion | None = None) -> dict:
         "version": result.version,
         "digest": result.digest.hex if result.digest else None,
         "exit_code": result.exit_code,
-        "timings_ms": {
-            "verify": result.timings.verify_ms,
-            "lock": result.timings.lock_ms,
-            "total": result.timings.total_ms,
-        },
+        "timings_ms": result.timings.by_stage(),
     }
     if result.token is not None:
         payload["token"] = {

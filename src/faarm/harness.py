@@ -37,7 +37,7 @@ from .mcu import (
     McuRegion,
     WriteOutcome,
 )
-from .monitor import Monitor, ScenarioKind, VerifyResult
+from .monitor import STAGES, Monitor, ScenarioKind, StageTimings, VerifyResult
 from .packaging import (
     DEFAULT_MCU_ID,
     FLAG_REQUIRES_LOCK,
@@ -104,9 +104,7 @@ class TrialRecord:
     attack_success: bool | None
     legitimate_success: bool | None
     reason: str | None
-    verify_ms: float
-    lock_ms: float
-    total_ms: float
+    timings: StageTimings
 
 
 @dataclass(frozen=True)
@@ -149,13 +147,12 @@ class ScenarioReport:
 
     def latency_stats(self) -> dict[str, LatencyStats]:
         return {
-            "verify": LatencyStats.from_samples([t.verify_ms for t in self.trials]),
-            "lock": LatencyStats.from_samples([t.lock_ms for t in self.trials]),
-            "total": LatencyStats.from_samples([t.total_ms for t in self.trials]),
+            stage: LatencyStats.from_samples([t.timings[i] for t in self.trials])
+            for i, stage in enumerate(STAGES)
         }
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out: dict = {
+    def to_dict(self) -> dict:
+        return {
             "scenario": self.scenario.kind.value,
             "mode": self.scenario.mode.value,
             "trials": self.scenario.trials,
@@ -169,13 +166,11 @@ class ScenarioReport:
             "reasons": self.reason_histogram(),
             "audit_counts": dict(sorted(self.audit_counts.items())),
             "infra_failures": list(self.infra_failures),
-        }
-        if include_timings:
-            out["latency_ms"] = {
+            "latency_ms": {
                 stage: {"mean": stats.mean_ms, "std": stats.std_ms, "count": stats.count}
                 for stage, stats in self.latency_stats().items()
-            }
-        return out
+            },
+        }
 
 
 def _trial_seed(seed: int, kind: ScenarioKind, mode: LoaderMode, index: int) -> int:
@@ -261,35 +256,34 @@ def _run_baseline_trial(scenario: Scenario, index: int, rng: random.Random) -> T
             raise HarnessError("baseline load failed to apply")
         return (time.perf_counter() - t0) * 1000.0
 
+    legit = success = None
     if kind is ScenarioKind.SIGNED_GOOD:
         total = load(fw)
-        ok = region.digest() == hash_data(fw)
-        return TrialRecord(index, None, ok, None, 0.0, 0.0, total)
-    if kind is ScenarioKind.TAMPER_BEFORE_VERIFY:
+        legit = region.digest() == hash_data(fw)
+    elif kind is ScenarioKind.TAMPER_BEFORE_VERIFY:
         tampered = _flip_one_byte(fw, rng)
         total = load(tampered)
         success = region.digest() == hash_data(tampered)
-        return TrialRecord(index, success, None, None, 0.0, 0.0, total)
-    if kind is ScenarioKind.UNSIGNED_LOAD:
+    elif kind is ScenarioKind.UNSIGNED_LOAD:
         attacker = rng.randbytes(scenario.firmware_size)
         total = load(attacker)
         success = region.digest() == hash_data(attacker)
-        return TrialRecord(index, success, None, None, 0.0, 0.0, total)
-    if kind is ScenarioKind.ROLLBACK_LOAD:
+    elif kind is ScenarioKind.ROLLBACK_LOAD:
         old = rng.randbytes(scenario.firmware_size)
         load(fw)
         total = load(old)  # the replayed stale image goes straight in
         success = region.digest() == hash_data(old)
-        return TrialRecord(index, success, None, None, 0.0, 0.0, total)
-    if kind is ScenarioKind.TOCTOU_OVERWRITE:
+    elif kind is ScenarioKind.TOCTOU_OVERWRITE:
         total = load(fw)
         overwrite = rng.randbytes(min(64, scenario.firmware_size))
         outcome = region.el1_write(0, overwrite)
         success = (
             outcome is WriteOutcome.APPLIED and region.digest() != hash_data(fw)
         )
-        return TrialRecord(index, success, None, None, 0.0, 0.0, total)
-    raise HarnessError(f"unhandled scenario kind {kind}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise HarnessError(f"unhandled scenario kind {kind}")
+    # the baseline neither verifies nor locks: its whole load is the total
+    return TrialRecord(index, success, legit, None, StageTimings(0.0, 0.0, total))
 
 
 def _run_faarm_trial(
@@ -375,9 +369,7 @@ def _record(
         attack_success=attack,
         legitimate_success=legit,
         reason=result.reason.value if result.reason else None,
-        verify_ms=result.timings.verify_ms,
-        lock_ms=result.timings.lock_ms,
-        total_ms=result.timings.total_ms,
+        timings=result.timings,
     )
 
 
@@ -490,7 +482,7 @@ def run_bench(
     if runs < 1:
         raise HarnessError("runs must be >= 1")
     rng = random.Random(_trial_seed(seed, ScenarioKind.SIGNED_GOOD, LoaderMode.FAARM, 0))
-    samples: dict[str, list[float]] = {"verify": [], "lock": [], "total": []}
+    samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
     with tempfile.TemporaryDirectory(prefix="faarm-bench-") as tmp:
         state_dir = Path(tmp) / "state"
         key = keygen(scheme, seed=rng.getrandbits(64), allow_seeded=True)
@@ -507,9 +499,8 @@ def run_bench(
                 if not result.accepted:
                     raise HarnessError(f"bench load rejected: {result.reason}")
                 if run >= warmup:
-                    samples["verify"].append(result.timings.verify_ms)
-                    samples["lock"].append(result.timings.lock_ms)
-                    samples["total"].append(result.timings.total_ms)
+                    for stage, ms in result.timings.by_stage().items():
+                        samples[stage].append(ms)
         finally:
             store.close()
     return BenchResult(
@@ -522,15 +513,10 @@ def run_bench(
 # -- rendering -----------------------------------------------------------------
 
 
-def reports_to_json(
-    reports: Sequence[ScenarioReport],
-    *,
-    config: dict | None = None,
-    include_timings: bool = True,
-) -> str:
+def reports_to_json(reports: Sequence[ScenarioReport], *, config: dict | None = None) -> str:
     payload = {
         "config": config or {},
-        "scenarios": [r.to_dict(include_timings=include_timings) for r in reports],
+        "scenarios": [r.to_dict() for r in reports],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -543,24 +529,20 @@ def bench_to_json(result: BenchResult, *, config: dict | None = None) -> str:
 
 def latency_csv(reports: Sequence[ScenarioReport]) -> str:
     out = StringIO()
-    out.write("scenario,mode,trial,verify_ms,lock_ms,total_ms\n")
+    out.write(",".join(("scenario", "mode", "trial", *StageTimings._fields)) + "\n")
     for report in reports:
+        kind, mode = report.scenario.kind.value, report.scenario.mode.value
         for t in report.trials:
-            out.write(
-                f"{report.scenario.kind.value},{report.scenario.mode.value},"
-                f"{t.index},{t.verify_ms:.6f},{t.lock_ms:.6f},{t.total_ms:.6f}\n"
-            )
+            cells = ",".join(f"{ms:.6f}" for ms in t.timings)
+            out.write(f"{kind},{mode},{t.index},{cells}\n")
     return out.getvalue()
 
 
 def bench_csv(result: BenchResult) -> str:
     out = StringIO()
-    out.write("run,verify_ms,lock_ms,total_ms\n")
-    for i in range(len(result.samples["total"])):
-        out.write(
-            f"{i},{result.samples['verify'][i]:.6f},"
-            f"{result.samples['lock'][i]:.6f},{result.samples['total'][i]:.6f}\n"
-        )
+    out.write(",".join(("run", *StageTimings._fields)) + "\n")
+    for i, timings in enumerate(zip(*(result.samples[stage] for stage in STAGES))):
+        out.write(f"{i}," + ",".join(f"{ms:.6f}" for ms in timings) + "\n")
     return out.getvalue()
 
 
@@ -653,15 +635,11 @@ def render_bench(result: BenchResult) -> str:
     )
     out.write("  stage    measured mean+/-std         reference mean+/-std\n")
     out.write("  ------   -------------------------   --------------------\n")
-    for stage, ref_mean, ref_std in (
-        ("verify", ref["verify_mean_ms"], ref["verify_std_ms"]),
-        ("lock", ref["lock_mean_ms"], ref["lock_std_ms"]),
-        ("total", ref["total_mean_ms"], ref["total_std_ms"]),
-    ):
+    for stage in STAGES:
         s = stats[stage]
         out.write(
             f"  {stage:<6}   {s.mean_ms:7.3f} +/- {s.std_ms:6.3f} ms (n={s.count})"
-            f"   {ref_mean:5.2f} +/- {ref_std:4.2f} ms\n"
+            f"   {ref[f'{stage}_mean_ms']:5.2f} +/- {ref[f'{stage}_std_ms']:4.2f} ms\n"
         )
     out.write(
         f"\n  overhead vs {result.nominal_init_ms:.0f} ms nominal init: "

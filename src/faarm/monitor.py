@@ -6,7 +6,7 @@ a VERIFY_REJECT record, and leaves both the counter and the region untouched):
 
   1. parse the bundle (verify_bundle only)         -> malformed-bundle
   2. image fits the region, by its length alone   -> oversize
-     (verify_bundle checks it before the image is read)
+     (checked before the image is read or copied)
   3. freeze the firmware image as bytes and hash it, once
   4. compare against the manifest hash            -> hash-mismatch
   5. verify the signature over digest||manifest   -> bad-signature
@@ -17,6 +17,12 @@ a VERIFY_REJECT record, and leaves both the counter and the region untouched):
      the step-3 digest, in one critical section
      (no EL1 write can interleave)                -> lock-failed
  10. VERIFY_ACCEPT, counter commit, token issue
+
+StageTimings splits each load into three stages: verify_ms spans the step-3
+hash and steps 4-8 (the signature and the three policy gates take
+microseconds of it), lock_ms spans step 9, and total_ms runs from entry to
+the built result, so it alone includes the audit appends and the counter
+commit. A load rejected at step 1 or 2 has verify_ms == lock_ms == 0.
 
 The size gate comes first because it needs only the image's length, which
 the bundle's author already knows, so it tells a prober nothing about the
@@ -111,9 +117,19 @@ class AuthToken(NamedTuple):
 
 
 class StageTimings(NamedTuple):
+    """One load's stage latencies; the module docstring says what each spans."""
+
     verify_ms: float
     lock_ms: float
     total_ms: float
+
+    def by_stage(self) -> dict[str, float]:
+        """The timings keyed by stage name, in field order."""
+        return dict(zip(STAGES, self))
+
+
+# the stage names that output uses as keys and headers: the fields without "_ms"
+STAGES = tuple(name.removesuffix("_ms") for name in StageTimings._fields)
 
 
 class VerifyResult(NamedTuple):
@@ -174,82 +190,53 @@ class Monitor:
     def verify_and_lock(self, package: FirmwarePackage) -> VerifyResult:
         """Run the full ordered load protocol on an in-memory package.
 
-        The image is frozen into one immutable bytes object up front (a no-op
-        when it already is bytes); that object alone is hashed, written and
-        locked, so a caller mutating package.firmware after verification
-        cannot change what gets locked.
+        An image that fits the region is frozen into one immutable bytes
+        object up front (a no-op when it already is bytes); that object alone
+        is hashed, written and locked, so a caller mutating package.firmware
+        after verification cannot change what gets locked. An oversize image
+        is rejected from its length and never copied.
         """
         with self._serial:
             t_total = time.perf_counter()
-            firmware = bytes(package.firmware)
             manifest = package.manifest
             version = manifest.version
+            firmware = package.firmware
+            size = len(firmware)
+            if size <= self.region.capacity:
+                firmware = bytes(firmware)
+                size = len(firmware)  # the frozen length is the one gated
             self.region.fire(HookPoint.PRE_VERIFY)
-            if len(firmware) > self.region.capacity:
-                return self._reject_oversize(len(firmware), version, t_total)
+            verify_ms = lock_ms = 0.0
 
-            t_verify = time.perf_counter()
-            digest = hash_data(firmware)
-            hash_ok = digest == manifest.firmware_hash
-            signature_ok = hash_ok and verify(
-                self.store.anchor,
-                signing_payload(digest, canonical_bytes(manifest)),
-                package.signature,
-            )
-            verify_ms = _ms_since(t_verify)
-            if not hash_ok:
-                return self._reject(
-                    RejectionReason.HASH_MISMATCH,
-                    f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}",
-                    version, t_total, verify_ms,
-                )
-            if not signature_ok:
-                return self._reject(
-                    RejectionReason.BAD_SIGNATURE,
-                    "signature does not verify against the provisioned anchor",
-                    version, t_total, verify_ms,
-                )
-            if manifest.mcu_id != self.mcu_id:
-                return self._reject(
-                    RejectionReason.MALFORMED_BUNDLE,
-                    f"manifest mcu_id {manifest.mcu_id!r} does not match monitor {self.mcu_id!r}",
-                    version, t_total, verify_ms,
-                )
-            if not self.store.check_version(version):
-                return self._reject(
-                    RejectionReason.ROLLBACK,
-                    f"version {version} is not above counter {self.store.nv_counter}",
-                    version, t_total, verify_ms,
-                )
-            unknown = sorted(set(manifest.flags) - KNOWN_FLAGS)
-            if unknown:
-                return self._reject(
-                    RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}",
-                    version, t_total, verify_ms,
-                )
-            requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
-
-            self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
-
-            t_lock = time.perf_counter()
-            lock_engaged = False
-            with self.region.exclusive():
-                snap = self.region.snapshot()
-                try:
-                    self.region.unlock_for_update()
-                    self.region.secure_write(firmware)
-                    self.region.lock(digest)
-                    lock_engaged = True
-                except LockEngageError:
-                    if requires_lock:
-                        self.region.restore(snap)
-            lock_ms = _ms_since(t_lock)
-            if not lock_engaged and requires_lock:
-                return self._reject(
-                    RejectionReason.LOCK_FAILED,
-                    "region lock did not engage and the manifest requires it",
-                    version, t_total, verify_ms, lock_ms,
-                )
+            rejection = self._check_size(size)
+            if rejection is None:
+                t_verify = time.perf_counter()
+                digest = hash_data(firmware)
+                rejection = self._check_gates(digest, package)
+                verify_ms = _ms_since(t_verify)
+            if rejection is None:
+                requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
+                self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
+                t_lock = time.perf_counter()
+                lock_engaged = False
+                with self.region.exclusive():
+                    snap = self.region.snapshot()
+                    try:
+                        self.region.unlock_for_update()
+                        self.region.secure_write(firmware)
+                        self.region.lock(digest)
+                        lock_engaged = True
+                    except LockEngageError:
+                        if requires_lock:
+                            self.region.restore(snap)
+                lock_ms = _ms_since(t_lock)
+                if not lock_engaged and requires_lock:
+                    rejection = (
+                        RejectionReason.LOCK_FAILED,
+                        "region lock did not engage and the manifest requires it",
+                    )
+            if rejection is not None:
+                return self._reject(*rejection, version, t_total, verify_ms, lock_ms)
 
             if lock_engaged:
                 self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
@@ -272,16 +259,18 @@ class Monitor:
         """Read a bundle from disk and run the load protocol; parse failures
         reject as malformed-bundle, and an image over the region's capacity
         rejects as oversize without being read."""
-        t0 = time.perf_counter()
+        t_total = time.perf_counter()
+        version = None
         try:
             package = read_bundle(path, max_firmware=self.region.capacity)
         except (BundleError, ManifestError, CryptoError) as exc:
-            with self._serial:
-                return self._reject(RejectionReason.MALFORMED_BUNDLE, str(exc), None, t0)
+            rejection = RejectionReason.MALFORMED_BUNDLE, str(exc)
         except ImageTooLarge as exc:
-            with self._serial:
-                return self._reject_oversize(exc.size, exc.manifest.version, t0)
-        return self.verify_and_lock(package)
+            rejection, version = self._check_size(exc.size), exc.manifest.version
+        else:
+            return self.verify_and_lock(package)
+        with self._serial:
+            return self._reject(*rejection, version, t_total)
 
     # -- sessions and tasks ---------------------------------------------------
 
@@ -344,6 +333,41 @@ class Monitor:
 
     # -- internals -----------------------------------------------------------
 
+    def _check_size(self, size: int) -> tuple[RejectionReason, str] | None:
+        """The size gate, which needs the image's length alone."""
+        cap = self.region.capacity
+        if size > cap:
+            return RejectionReason.OVERSIZE, f"{size} bytes exceeds region capacity {cap}"
+        return None
+
+    def _check_gates(
+        self, digest: Digest, package: FirmwarePackage
+    ) -> tuple[RejectionReason, str] | None:
+        """The gates after the size gate, in protocol order: the first one that
+        fails, as (reason, detail), or None when the image may be locked."""
+        manifest = package.manifest
+        if digest != manifest.firmware_hash:
+            return RejectionReason.HASH_MISMATCH, (
+                f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}"
+            )
+        payload = signing_payload(digest, canonical_bytes(manifest))
+        if not verify(self.store.anchor, payload, package.signature):
+            return RejectionReason.BAD_SIGNATURE, (
+                "signature does not verify against the provisioned anchor"
+            )
+        if manifest.mcu_id != self.mcu_id:
+            return RejectionReason.MALFORMED_BUNDLE, (
+                f"manifest mcu_id {manifest.mcu_id!r} does not match monitor {self.mcu_id!r}"
+            )
+        if not self.store.check_version(manifest.version):
+            return RejectionReason.ROLLBACK, (
+                f"version {manifest.version} is not above counter {self.store.nv_counter}"
+            )
+        unknown = sorted(set(manifest.flags) - KNOWN_FLAGS)
+        if unknown:
+            return RejectionReason.UNKNOWN_FLAG, f"unknown flags: {unknown}"
+        return None
+
     def _reject(
         self,
         reason: RejectionReason,
@@ -362,13 +386,6 @@ class Monitor:
             accepted=False, reason=reason, detail=detail,
             version=version, digest=None, token=None,
             timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
-        )
-
-    def _reject_oversize(self, size: int, version: int, t_total: float) -> VerifyResult:
-        return self._reject(
-            RejectionReason.OVERSIZE,
-            f"{size} bytes exceeds region capacity {self.region.capacity}",
-            version, t_total,
         )
 
     def _region_clean(self) -> bool:

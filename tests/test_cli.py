@@ -114,6 +114,7 @@ class TestSignVerify:
         assert payload["version"] == 1
         assert payload["exit_code"] == 0
         assert len(payload["token"]["token_id"]) == 32
+        assert list(payload["timings_ms"]) == ["verify", "lock", "total"]
         assert payload["timings_ms"]["total"] > 0
 
     def test_tampered_firmware_exits_11(self, cli, workshop):

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,7 +138,8 @@ class TestReconciliation:
 
 class TestDeterminism:
     def strip_timings(self, report):
-        out = report.to_dict(include_timings=False)
+        out = report.to_dict()
+        del out["latency_ms"]
         # the denied-write tally counts adversary-thread attempts, which is
         # the one legitimately schedule-dependent number in a report
         out["audit_counts"].pop("WRITE_DENIED", None)
@@ -158,7 +162,10 @@ class TestDeterminism:
             reports = run_matrix(
                 kinds=(ScenarioKind.UNSIGNED_LOAD,), trials=2, seed=5, firmware_size=1024
             )
-            return reports_to_json(reports, config={"seed": 5}, include_timings=False)
+            payload = json.loads(reports_to_json(reports, config={"seed": 5}))
+            for scenario in payload["scenarios"]:
+                del scenario["latency_ms"]
+            return payload
 
         assert snapshot() == snapshot()
 
@@ -188,9 +195,10 @@ class TestMatrix:
 
     def test_latency_csv_is_one_row_per_trial(self):
         reports = run_matrix(kinds=(ScenarioKind.SIGNED_GOOD,), trials=2, firmware_size=512)
-        rows = list(csv.DictReader(io.StringIO(latency_csv(reports))))
+        text = latency_csv(reports)
+        assert text.splitlines()[0] == "scenario,mode,trial,verify_ms,lock_ms,total_ms"
+        rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 4  # 2 modes x 2 trials
-        assert {"scenario", "mode", "trial", "verify_ms", "lock_ms", "total_ms"} == set(rows[0])
         float(rows[0]["verify_ms"])
 
 
@@ -223,10 +231,27 @@ class TestBench:
         assert bench["reference"] == REFERENCE_LATENCY_MS
         assert set(bench["latency_ms"]) == {"verify", "lock", "total"}
 
+    def test_sweep_script_writes_the_csv_and_one_json_per_cell(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_bench_sweep.py"
+        argv = ["--sizes", "4096", "--runs", "2", "--warmup", "0", "--schemes", "ed25519"]
+        subprocess.run(
+            [sys.executable, str(script), *argv, "--out", str(tmp_path)],
+            check=True, capture_output=True, timeout=120,
+        )
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == (
+            "scheme,firmware_size,runs,verify_mean_ms,verify_std_ms,lock_mean_ms,"
+            "lock_std_ms,total_mean_ms,total_std_ms,overhead_pct"
+        )
+        assert lines[1].startswith("ed25519,4096,2,")
+        cell = json.loads((tmp_path / "bench-ed25519-4096.json").read_text())
+        assert list(cell["latency_ms"]) == ["verify", "lock", "total"]
+
     def test_bench_csv_and_render(self):
         result = run_bench(firmware_size=4096, runs=3, warmup=0)
-        rows = list(csv.DictReader(io.StringIO(bench_csv(result))))
+        text = bench_csv(result)
+        assert text.splitlines()[0] == "run,verify_ms,lock_ms,total_ms"
+        rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 3
-        assert {"run", "verify_ms", "lock_ms", "total_ms"} == set(rows[0])
         text = render_bench(result)
         assert "verify" in text and "reference" in text.lower()

@@ -106,12 +106,6 @@ class TestAcceptPath:
             assert env.monitor.verify_and_lock(env.package(image, version)).accepted
             assert hashed == [len(image)]
 
-    def test_timings_are_positive(self, env):
-        result = env.monitor.verify_and_lock(env.package(FW, 1))
-        assert result.timings.verify_ms > 0
-        assert result.timings.lock_ms > 0
-        assert result.timings.total_ms >= result.timings.verify_ms
-
 
 class TestRejections:
     def assert_nothing_committed(self, env, before_digest, before_nv, before_phase):
@@ -173,13 +167,16 @@ class TestRejections:
         assert result.reason is RejectionReason.MALFORMED_BUNDLE
         assert result.exit_code == 15
 
-    @pytest.mark.parametrize("source", ["memory", "bundle", "bundle.pkg"])
+    @pytest.mark.parametrize("source", ["memory", "memory-bytearray", "bundle", "bundle.pkg"])
     def test_oversize_firmware_is_rejected(self, make_env, tmp_path, source):
-        # from disk: a sparse 1 GiB tampered image, rejected without being read
+        # from disk: a sparse 1 GiB tampered image, rejected without being read;
+        # in memory: a 64 MiB bytearray, rejected without being copied
         env = make_env(capacity=1024)
-        if source == "memory":
-            size = 2048
-            package = env.package(bytes(size), 1)
+        if source.startswith("memory"):
+            size = 2048 if source == "memory" else 64 << 20
+            package = env.package(bytes(2048), 1)
+            if source == "memory-bytearray":
+                package = package._replace(firmware=bytearray(size))
             result, peak = traced_peak(lambda: env.monitor.verify_and_lock(package))
         else:
             size = GIB
@@ -290,6 +287,60 @@ class TestRejections:
         monkeypatch.undo()
         env.region.capacity = len(image)
         assert run().reason is own_reason
+
+
+TIMING_CASES = {
+    # case: (reason, verify_ms > 0, lock_ms > 0)
+    "unparsable": (RejectionReason.MALFORMED_BUNDLE, False, False),
+    "oversize": (RejectionReason.OVERSIZE, False, False),
+    "tampered-image": (RejectionReason.HASH_MISMATCH, True, False),
+    "zeroed-signature": (RejectionReason.BAD_SIGNATURE, True, False),
+    "wrong-mcu-id": (RejectionReason.MALFORMED_BUNDLE, True, False),
+    "old-version": (RejectionReason.ROLLBACK, True, False),
+    "unknown-flag": (RejectionReason.UNKNOWN_FLAG, True, False),
+    "lock-failed": (RejectionReason.LOCK_FAILED, True, True),
+    "accepted": (None, True, True),
+}
+
+
+class TestStageTimings:
+    @pytest.mark.parametrize("case, entry", [
+        (case, entry)
+        for case in TIMING_CASES
+        for entry in ("verify_and_lock", "bundle")
+        if (case, entry) != ("unparsable", "verify_and_lock")  # only a bundle is parsed
+    ])
+    def test_a_stage_is_timed_only_when_the_load_reaches_it(
+        self, make_env, tmp_path, case, entry
+    ):
+        reason, verify_ran, lock_ran = TIMING_CASES[case]
+        env = make_env(capacity=len(FW))
+        assert env.monitor.verify_and_lock(env.package(FW, 5)).accepted
+        image = FW * 2 if case == "oversize" else FW[::-1]
+        kwargs = {
+            "wrong-mcu-id": {"mcu_id": "SOME-OTHER-MCU"},
+            "unknown-flag": {"flags": (FLAG_REQUIRES_LOCK, "debug_unlock")},
+        }.get(case, {})
+        pkg = env.package(image, 1 if case == "old-version" else 6, **kwargs)
+        if case == "tampered-image":
+            pkg = pkg._replace(firmware=bytes([image[0] ^ 1]) + image[1:])
+        elif case == "zeroed-signature":
+            pkg = pkg._replace(signature=Signature(bytes(64)))
+        elif case == "lock-failed":
+            env.region.fail_next_lock = True
+        if entry == "verify_and_lock":
+            result = env.monitor.verify_and_lock(pkg)
+        else:
+            path = write_bundle(pkg, tmp_path / "bundle")
+            if case == "unparsable":
+                (path / "manifest.json").write_bytes(b" " + canonical_bytes(pkg.manifest))
+            result = env.monitor.verify_bundle(path)
+
+        assert result.reason is reason
+        verify_ms, lock_ms, total_ms = result.timings
+        assert (verify_ms > 0, lock_ms > 0) == (verify_ran, lock_ran)
+        assert verify_ms >= 0 and lock_ms >= 0
+        assert total_ms >= verify_ms + lock_ms
 
 
 class TestVerifyBundle:
