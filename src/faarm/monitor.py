@@ -21,8 +21,9 @@ a VERIFY_REJECT record, and leaves both the counter and the region untouched):
 StageTimings splits each load into three stages: verify_ms spans the step-3
 hash and steps 4-8 (the signature and the three policy gates take
 microseconds of it), lock_ms spans step 9, and total_ms runs from entry to
-the built result, so it alone includes the audit appends and the counter
-commit. A load rejected at step 1 or 2 has verify_ms == lock_ms == 0.
+the built result, so it alone includes the audit appends, the counter commit
+and, for verify_bundle, the step-1 read and parse, accepted or rejected. A
+load rejected at step 1 or 2 has verify_ms == lock_ms == 0.
 
 The size gate comes first because it needs only the image's length, which
 the bundle's author already knows, so it tells a prober nothing about the
@@ -196,8 +197,29 @@ class Monitor:
         after verification cannot change what gets locked. An oversize image
         is rejected from its length and never copied.
         """
+        return self._load(package, time.perf_counter())
+
+    def verify_bundle(self, path: str | Path) -> VerifyResult:
+        """Read a bundle from disk and run the load protocol; parse failures
+        reject as malformed-bundle, and an image over the region's capacity
+        rejects as oversize without being read. total_ms includes the read."""
+        t_total = time.perf_counter()
+        version = None
+        try:
+            package = read_bundle(path, max_firmware=self.region.capacity)
+        except (BundleError, ManifestError, CryptoError) as exc:
+            rejection = RejectionReason.MALFORMED_BUNDLE, str(exc)
+        except ImageTooLarge as exc:
+            rejection, version = self._check_size(exc.size), exc.manifest.version
+        else:
+            return self._load(package, t_total)
         with self._serial:
-            t_total = time.perf_counter()
+            return self._reject(*rejection, version, t_total)
+
+    def _load(self, package: FirmwarePackage, t_total: float) -> VerifyResult:
+        """The load protocol from step 2 on, for both entry points; t_total is
+        the perf_counter() reading taken when the entry point was called."""
+        with self._serial:
             manifest = package.manifest
             version = manifest.version
             firmware = package.firmware
@@ -254,23 +276,6 @@ class Monitor:
             )
             self.region.fire(HookPoint.POST_LOCK)
             return result
-
-    def verify_bundle(self, path: str | Path) -> VerifyResult:
-        """Read a bundle from disk and run the load protocol; parse failures
-        reject as malformed-bundle, and an image over the region's capacity
-        rejects as oversize without being read."""
-        t_total = time.perf_counter()
-        version = None
-        try:
-            package = read_bundle(path, max_firmware=self.region.capacity)
-        except (BundleError, ManifestError, CryptoError) as exc:
-            rejection = RejectionReason.MALFORMED_BUNDLE, str(exc)
-        except ImageTooLarge as exc:
-            rejection, version = self._check_size(exc.size), exc.manifest.version
-        else:
-            return self.verify_and_lock(package)
-        with self._serial:
-            return self._reject(*rejection, version, t_total)
 
     # -- sessions and tasks ---------------------------------------------------
 

@@ -34,6 +34,7 @@ DEFAULT_MCU_ID = "MALI-MCU-XYZ"
 MANIFEST_KEYS = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 FLAG_REQUIRES_LOCK = "requires_lock"
 MAX_MANIFEST_BYTES = 64 * 1024
+MAX_VERSION = 2**64 - 1  # an unsigned 64-bit sequence number; the counter holds 20 digits
 
 FIRMWARE_NAME = "firmware.bin"
 MANIFEST_NAME = "manifest.json"
@@ -106,6 +107,8 @@ class Manifest(Frozen):
             raise ManifestError("version", "must be an integer")
         if version < 1:
             raise ManifestError("version", f"must be >= 1, got {version}")
+        if version > MAX_VERSION:
+            raise ManifestError("version", f"must be <= {MAX_VERSION}, got {version}")
         if not isinstance(mcu_id, str) or not mcu_id:
             raise ManifestError("mcu_id", "must be a non-empty string")
         _validate_timestamp(timestamp)

@@ -3,8 +3,14 @@ counter, and a hash-chained append-only audit log.
 
 Layout inside a state directory:
 
-  state.json   {"anchor": "<hex of tag+key>", "nv_counter": N}, replaced
-               atomically on every counter commit
+  state.json   {"anchor": "<hex of tag+key>"}, written once at provisioning
+  counter      the monotonic version counter: two fixed 64-byte slots, each
+               "<counter as 20 digits> <check>\n", where the check is the
+               first 42 hex digits of SHA-256(digits || anchor file bytes).
+               The counter is the highest slot whose check verifies. A commit
+               overwrites the other slot in place and creates or renames
+               nothing, so a torn write spoils only a slot that holds no
+               committed value
   audit.log    one JSON record per line; each record carries the SHA-256 of
                the previous raw line (64 zeros for the first), so any edit,
                reorder, or truncation-in-the-middle breaks the chain
@@ -39,10 +45,15 @@ from typing import Callable, Iterator, NamedTuple
 from .crypto import PublicKey
 
 STATE_NAME = "state.json"
+COUNTER_NAME = "counter"
 AUDIT_NAME = "audit.log"
 LOCK_NAME = "lock"
 GENESIS_HASH = "0" * 64
 _TAIL_BLOCK = 64 * 1024  # bytes per step when reading the audit log backwards
+_SLOT_SIZE = 64  # bytes per counter slot; the counter file holds two
+_SLOT_DIGITS = 20
+_CHECK_HEX = _SLOT_SIZE - _SLOT_DIGITS - 2  # what the space and the line end leave
+MAX_COUNTER = 10**_SLOT_DIGITS - 1
 
 
 class StateError(Exception):
@@ -173,11 +184,15 @@ class SecureStateStore:
     simulate a crash at that exact point.
     """
 
-    def __init__(self, *, _path: Path, _anchor: PublicKey, _nv: int, _last_seq: int,
-                 _last_hash: str, _lock_fd: int, _audit_fh, _durable: bool):
+    def __init__(self, *, _path: Path, _anchor: PublicKey, _nv: int, _slot: int,
+                 _counter_fd: int, _last_seq: int, _last_hash: str, _lock_fd: int,
+                 _audit_fh, _durable: bool):
         self._path = _path
         self._anchor = _anchor
+        self._anchor_bytes = _anchor.to_file_bytes()
         self._nv = _nv
+        self._slot = _slot  # the counter slot that holds _nv
+        self._counter_fd = _counter_fd
         self._last_seq = _last_seq
         self._last_hash = _last_hash
         self._lock_fd = _lock_fd
@@ -209,6 +224,7 @@ class SecureStateStore:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         lock_fd = _acquire_lock(path)
+        counter_fd = None
         try:
             state_path = path / STATE_NAME
             if state_path.exists():
@@ -217,17 +233,26 @@ class SecureStateStore:
                         f"{path} is already provisioned; pass reset to archive and start over"
                     )
                 _archive_existing(path)
-            _write_state_atomic(path, anchor, 0, durable)
+            # the counter first: state.json is what marks a directory provisioned;
+            # slot 0 holds 0 and slot 1 no valid value
+            anchor_bytes = anchor.to_file_bytes()
+            slots = _counter_slot(0, anchor_bytes) + b" " * (_SLOT_SIZE - 1) + b"\n"
+            _write_file_atomic(path, COUNTER_NAME, slots, durable)
+            state = json.dumps({"anchor": anchor_bytes.hex()}, separators=(",", ":"))
+            _write_file_atomic(path, STATE_NAME, state.encode("utf-8") + b"\n", durable)
+            counter_fd = os.open(path / COUNTER_NAME, os.O_RDWR)
             audit_path = path / AUDIT_NAME
             if audit_path.exists():  # pragma: no cover - archived above
                 audit_path.unlink()
             audit_fh = open(audit_path, "ab")
         except BaseException:
+            if counter_fd is not None:
+                os.close(counter_fd)
             _release_lock(lock_fd)
             raise
         store = cls(
-            _path=path, _anchor=anchor, _nv=0, _last_seq=0, _last_hash=GENESIS_HASH,
-            _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
+            _path=path, _anchor=anchor, _nv=0, _slot=0, _counter_fd=counter_fd, _last_seq=0,
+            _last_hash=GENESIS_HASH, _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
         )
         store.crash_hook = crash_hook
         try:
@@ -243,16 +268,21 @@ class SecureStateStore:
         if not (path / STATE_NAME).exists():
             raise NotProvisionedError(f"{path} holds no provisioned state")
         lock_fd = _acquire_lock(path)
+        counter_fd = None
         try:
-            anchor, nv = read_state(path)
+            anchor = _read_anchor(path)
+            counter_fd, nv, slot = _open_counter(path, anchor, os.O_RDWR)
             last, last_hash, torn = _scan_audit_tail(path / AUDIT_NAME)
             audit_fh = open(path / AUDIT_NAME, "ab")
         except BaseException:
+            if counter_fd is not None:
+                os.close(counter_fd)
             _release_lock(lock_fd)
             raise
         store = cls(
-            _path=path, _anchor=anchor, _nv=nv, _last_seq=last.seq if last is not None else 0,
-            _last_hash=last_hash, _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
+            _path=path, _anchor=anchor, _nv=nv, _slot=slot, _counter_fd=counter_fd,
+            _last_seq=last.seq if last is not None else 0, _last_hash=last_hash,
+            _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
         )
         try:
             store._recover(last, torn)
@@ -283,19 +313,33 @@ class SecureStateStore:
 
     def check_version(self, candidate: int) -> bool:
         """Anti-rollback gate: candidate is acceptable iff strictly above the
-        committed counter. Never mutates."""
-        return isinstance(candidate, int) and candidate > self._nv
+        committed counter (and within the MAX_COUNTER a slot holds). Never
+        mutates."""
+        return isinstance(candidate, int) and self._nv < candidate <= MAX_COUNTER
 
     def commit_version(self, version: int) -> None:
-        """Atomically persist the counter at version (temp file + rename)."""
+        """Persist the counter at version in place: one write of the slot
+        that does not hold the committed value, then an fsync when durable.
+        A crash mid-write leaves that slot torn, which readers skip, so they
+        see the old value or the new one; nothing is created, truncated or
+        renamed, so no directory fsync is needed either."""
         with self._mutex:
             self._assert_open()
             if not self.check_version(version):
+                if isinstance(version, int) and version > MAX_COUNTER:
+                    raise StateError(f"refusing counter commit: {version} > {MAX_COUNTER}")
                 raise StateError(
                     f"refusing non-monotonic counter commit: {version} <= {self._nv}"
                 )
             self._fire("commit:pre")
-            _write_state_atomic(self._path, self._anchor, version, self._durable)
+            slot = 1 - self._slot
+            written = os.pwrite(self._counter_fd, _counter_slot(version, self._anchor_bytes),
+                                slot * _SLOT_SIZE)
+            if written != _SLOT_SIZE:
+                raise StateError(f"short {COUNTER_NAME} write: {written} of {_SLOT_SIZE} bytes")
+            if self._durable:
+                os.fsync(self._counter_fd)
+            self._slot = slot
             self._nv = version
             self._fire("commit:post")
 
@@ -353,6 +397,7 @@ class SecureStateStore:
         except Exception:
             pass
         self._audit_fh.close()
+        os.close(self._counter_fd)
         _release_lock(self._lock_fd)
 
     def __enter__(self) -> "SecureStateStore":
@@ -403,17 +448,13 @@ class SecureStateStore:
 
 
 def read_state(path: str | Path) -> tuple[PublicKey, int]:
-    state_path = Path(path) / STATE_NAME
-    if not state_path.exists():
-        raise NotProvisionedError(f"{path} holds no provisioned state")
-    try:
-        obj = json.loads(state_path.read_text("utf-8"))
-        anchor = PublicKey.from_file_bytes(bytes.fromhex(obj["anchor"]))
-        nv = obj["nv_counter"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise StateError(f"corrupt {STATE_NAME}: {exc}") from None
-    if isinstance(nv, bool) or not isinstance(nv, int) or nv < 0:
-        raise StateError(f"corrupt {STATE_NAME}: bad counter {nv!r}")
+    """The trust anchor and the committed counter. A slot torn by a commit
+    in progress fails its check and is skipped, so a reader racing a commit
+    sees the old value or the new one."""
+    path = Path(path)
+    anchor = _read_anchor(path)
+    fd, nv, _ = _open_counter(path, anchor, os.O_RDONLY)
+    os.close(fd)
     return anchor, nv
 
 
@@ -499,20 +540,66 @@ def _release_lock(fd: int) -> None:
         os.close(fd)
 
 
-def _write_state_atomic(path: Path, anchor: PublicKey, nv: int, durable: bool) -> None:
-    payload = json.dumps(
-        {"anchor": anchor.to_file_bytes().hex(), "nv_counter": nv},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    tmp = path / f".{STATE_NAME}.tmp"
+def _read_anchor(path: Path) -> PublicKey:
+    state_path = path / STATE_NAME
+    if not state_path.exists():
+        raise NotProvisionedError(f"{path} holds no provisioned state")
+    try:
+        obj = json.loads(state_path.read_text("utf-8"))
+        return PublicKey.from_file_bytes(bytes.fromhex(obj["anchor"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StateError(f"corrupt {STATE_NAME}: {exc}") from None
+
+
+def _counter_slot(nv: int, anchor_bytes: bytes) -> bytes:
+    digits = b"%020d" % nv
+    check = hashlib.sha256(digits + anchor_bytes).hexdigest()[:_CHECK_HEX]
+    return b"%s %s\n" % (digits, check.encode("ascii"))
+
+
+def _open_counter(path: Path, anchor: PublicKey, flags: int) -> tuple[int, int, int]:
+    """Open the counter file with flags: its fd, the counter and the slot
+    that holds it, the highest of the slots whose check verifies."""
+    try:
+        fd = os.open(path / COUNTER_NAME, flags)
+    except FileNotFoundError:
+        raise StateError(
+            f"{path} has no {COUNTER_NAME} file; a state directory whose counter is "
+            f"in {STATE_NAME} must be provisioned again with --reset"
+        ) from None
+    try:
+        nv, slot = _highest_slot(os.pread(fd, 2 * _SLOT_SIZE, 0), anchor.to_file_bytes())
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd, nv, slot
+
+
+def _highest_slot(data: bytes, anchor_bytes: bytes) -> tuple[int, int]:
+    """(counter, slot) of the highest slot of data whose check verifies."""
+    valid = []
+    for slot in (0, 1):
+        raw = data[slot * _SLOT_SIZE:(slot + 1) * _SLOT_SIZE]
+        digits = raw[:_SLOT_DIGITS]
+        if digits.isdigit() and raw == _counter_slot(int(digits), anchor_bytes):
+            valid.append((int(digits), slot))
+    if not valid:
+        raise StateError(f"corrupt {COUNTER_NAME}: no slot holds a valid counter")
+    return max(valid)
+
+
+def _write_file_atomic(path: Path, name: str, payload: bytes, durable: bool) -> None:
+    """Create or replace path/name holding payload (temp file, fsync, rename,
+    directory fsync), so a crash leaves the old file or the new one."""
+    tmp = path / f".{name}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, payload + b"\n")
+        os.write(fd, payload)
         if durable:
             os.fsync(fd)
     finally:
         os.close(fd)
-    os.replace(tmp, path / STATE_NAME)
+    os.replace(tmp, path / name)
     if durable:
         dir_fd = os.open(path, os.O_RDONLY)
         try:
@@ -585,7 +672,7 @@ def _archive_existing(path: Path) -> Path:
             break
         n += 1
     target.mkdir()
-    for name in (STATE_NAME, AUDIT_NAME):
+    for name in (STATE_NAME, COUNTER_NAME, AUDIT_NAME):
         source = path / name
         if source.exists():
             os.replace(source, target / name)

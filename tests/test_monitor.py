@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -341,6 +342,20 @@ class TestStageTimings:
         assert (verify_ms > 0, lock_ms > 0) == (verify_ran, lock_ran)
         assert verify_ms >= 0 and lock_ms >= 0
         assert total_ms >= verify_ms + lock_ms
+
+    def test_an_accepted_bundle_total_includes_the_read(self, env, tmp_path, monkeypatch):
+        path = write_bundle(env.package(FW, 1), tmp_path / "bundle")
+        read_bundle = faarm.monitor.read_bundle
+
+        def slow_read(*args, **kwargs):
+            time.sleep(0.03)
+            return read_bundle(*args, **kwargs)
+
+        monkeypatch.setattr(faarm.monitor, "read_bundle", slow_read)
+        result = env.monitor.verify_bundle(path)
+        assert result.accepted
+        verify_ms, lock_ms, total_ms = result.timings
+        assert total_ms >= 30 and total_ms >= verify_ms + lock_ms
 
 
 class TestVerifyBundle:

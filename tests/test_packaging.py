@@ -128,6 +128,11 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="version"):
             make_manifest(version=-3)
 
+    def test_version_above_64_bits_rejected(self):
+        assert make_manifest(version=2**64 - 1).version == 2**64 - 1
+        with pytest.raises(ManifestError, match="version"):
+            make_manifest(version=2**64)
+
     def test_bool_version_rejected(self):
         with pytest.raises(ManifestError, match="version"):
             make_manifest(version=True)

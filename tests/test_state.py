@@ -32,6 +32,14 @@ class Boom(RuntimeError):
     """Stands in for a crash at a kill point."""
 
 
+def counter_slot(digits: bytes, anchor) -> bytes:
+    """A slot of the counter file, built from its format: the digits, a
+    space, the first 42 hex digits of SHA-256(digits || anchor file bytes)
+    and a line end."""
+    check = hashlib.sha256(digits + anchor.to_file_bytes()).hexdigest()[:42]
+    return digits + b" " + check.encode() + b"\n"
+
+
 @pytest.fixture
 def store(tmp_path, ed25519_key):
     s = SecureStateStore.provision(ed25519_key.public, tmp_path / "state", durable=False)
@@ -67,7 +75,7 @@ class TestProvision:
             assert s2.nv_counter == 0
             archives = list((tmp_path / "state").glob("archive-*"))
             assert len(archives) == 1
-            assert (archives[0] / "state.json").exists()
+            assert read_state(archives[0])[1] == 1
             assert (archives[0] / "audit.log").exists()
         finally:
             s2.close()
@@ -112,11 +120,18 @@ class TestCounter:
 
     def test_state_file_survives_reload_bit_exactly(self, store):
         store.commit_version(2)
-        raw = (store.path / "state.json").read_bytes()
+        raw = {name: (store.path / name).read_bytes() for name in ("state.json", "counter")}
         store.close()
         s2 = SecureStateStore.load(store.path, durable=False)
         s2.close()
-        assert (store.path / "state.json").read_bytes() == raw
+        assert {name: (store.path / name).read_bytes() for name in raw} == raw
+
+    def test_a_version_wider_than_a_slot_is_refused(self, store):
+        assert not store.check_version(state.MAX_COUNTER + 1)
+        with pytest.raises(StateError, match="refusing counter commit"):
+            store.commit_version(state.MAX_COUNTER + 1)
+        store.commit_version(state.MAX_COUNTER)
+        assert read_state(store.path)[1] == state.MAX_COUNTER
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=25))
     def test_counter_tracks_maximum_of_accepted(self, ed25519_key, versions):
@@ -400,14 +415,108 @@ class TestStateFileCorruption:
             read_state(tmp_path / "s")
 
     def test_negative_counter_is_reported(self, tmp_path, ed25519_key):
+        # both slots hold -1 with a check that matches it: no slot is valid
         store = SecureStateStore.provision(ed25519_key.public, tmp_path / "s", durable=False)
         store.close()
-        state_path = tmp_path / "s" / "state.json"
-        obj = json.loads(state_path.read_text())
-        obj["nv_counter"] = -1
-        state_path.write_text(json.dumps(obj))
+        negative = counter_slot(b"-%019d" % 1, ed25519_key.public)
+        (tmp_path / "s" / "counter").write_bytes(2 * negative)
         with pytest.raises(StateError, match="counter"):
             read_state(tmp_path / "s")
+        with pytest.raises(StateError, match="counter"):
+            SecureStateStore.load(tmp_path / "s", durable=False)
+
+    def test_a_directory_without_a_counter_file_must_be_reset(self, tmp_path, ed25519_key):
+        # the layout before the counter file: the counter was a key of state.json
+        path = tmp_path / "s"
+        SecureStateStore.provision(ed25519_key.public, path, durable=False).close()
+        (path / "counter").unlink()
+        anchor = ed25519_key.public.to_file_bytes().hex()
+        (path / "state.json").write_text(json.dumps({"anchor": anchor, "nv_counter": 3}))
+        for open_it in (read_state, SecureStateStore.load):
+            with pytest.raises(StateError, match="no counter file.*--reset"):
+                open_it(path)
+        SecureStateStore.provision(ed25519_key.public, path, reset=True, durable=False).close()
+        assert read_state(path)[1] == 0
+
+
+class TestCounterSlots:
+    """The counter file: two 64-byte slots, overwritten in place by turns."""
+
+    @staticmethod
+    def slot(store, nv):
+        return counter_slot(b"%020d" % nv, store.anchor)
+
+    def test_the_file_is_two_text_slots_written_by_turns(self, store):
+        counter = store.path / "counter"
+        assert counter.read_bytes() == self.slot(store, 0) + b" " * 63 + b"\n"
+        store.commit_version(12)
+        assert counter.read_bytes() == self.slot(store, 0) + self.slot(store, 12)
+        store.commit_version(40)
+        assert counter.read_bytes() == self.slot(store, 40) + self.slot(store, 12)
+
+    @pytest.mark.parametrize("committed", [0, 7])
+    def test_every_torn_write_of_a_slot_reads_old_or_new(self, store, committed):
+        if committed:
+            store.commit_version(committed)
+        store.close()
+        counter = store.path / "counter"
+        before = counter.read_bytes()
+        assert len(before) == 128
+        other = 64 - before.index(self.slot(store, committed))  # where the next commit writes
+        new = self.slot(store, committed + 2)
+        for k in range(65):
+            torn = before[:other] + new[:k] + before[other + k:]
+            counter.write_bytes(torn)
+            # new once the slot is whole: its last byte, the line end, was already there
+            whole = torn[other:other + 64] == new
+            assert read_state(store.path)[1] == (committed + 2 if whole else committed), k
+        # the store resumes from the new value and writes over the older slot
+        with SecureStateStore.load(store.path, durable=False) as reloaded:
+            reloaded.commit_version(committed + 3)
+        assert counter.read_bytes()[other:other + 64] == new
+        assert read_state(store.path)[1] == committed + 3
+
+    def test_garbage_in_the_slot_a_commit_writes_is_skipped(self, store):
+        store.commit_version(5)  # slot 1 holds 5, so slot 0 is the one the next commit writes
+        store.close()
+        counter = store.path / "counter"
+        current = counter.read_bytes()[64:]
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.binary(min_size=64, max_size=64) | st.builds(
+            lambda nv, rest: b"%020d " % nv + rest,
+            st.integers(0, state.MAX_COUNTER), st.binary(min_size=43, max_size=43),
+        ))
+        def check(garbage):
+            counter.write_bytes(garbage + current)
+            assert read_state(store.path)[1] == 5
+
+        check()
+
+    def test_a_commit_writes_one_slot_in_place_and_fsyncs_once(
+        self, tmp_path, ed25519_key, monkeypatch
+    ):
+        store = SecureStateStore.provision(ed25519_key.public, tmp_path / "s", durable=True)
+        counter_ino = (tmp_path / "s" / "counter").stat().st_ino
+        real_fsync = state.os.fsync
+        fsynced = []
+
+        def counting_fsync(fd):
+            fsynced.append(state.os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a counter commit must create, truncate or rename nothing")
+
+        with monkeypatch.context() as patch:
+            for name in ("open", "replace", "rename", "truncate", "ftruncate"):
+                patch.setattr(state.os, name, refuse)
+            patch.setattr(state.os, "fsync", counting_fsync)
+            store.commit_version(3)
+            store.commit_version(4)
+        store.close()
+        assert fsynced == [counter_ino, counter_ino]  # one per commit, never the directory
+        assert read_state(tmp_path / "s")[1] == 4
 
 
 def full_scan_tail(audit_path: Path) -> tuple:
