@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
+from contextlib import ExitStack
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -255,24 +257,22 @@ def read_bundle(path: str | Path, *, max_firmware: int = DEFAULT_CAPACITY) -> Fi
     missing part or format violation.
     """
     path = Path(path)
-    if path.is_dir():
-        parts = {name: path / name for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME)}
-        # is_file first: opening a FIFO named like a part would block
-        for name, part in parts.items():
-            if not part.is_file():
-                raise BundleError(name, "missing from bundle directory")
-        manifest, signature = _parse_parts(
-            _read_file(parts[MANIFEST_NAME], MAX_MANIFEST_BYTES),
-            _read_file(parts[SIGNATURE_NAME], SIGNATURE_SIZE),
-        )
-        firmware_size, firmware = _read_file(parts[FIRMWARE_NAME], max_firmware)
-    elif path.is_file():
-        (firmware_size, firmware), manifest_part, signature_part = _read_container(
-            path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
-        )
-        manifest, signature = _parse_parts(manifest_part, signature_part)
-    else:
-        raise BundleError("bundle", f"no such bundle: {path}")
+    with ExitStack() as opened:
+        parts = _open_parts(path, opened)
+        if parts is not None:
+            firmware_part, manifest_part, signature_part = parts
+            manifest, signature = _parse_parts(
+                _read_file(*manifest_part, MAX_MANIFEST_BYTES),
+                _read_file(*signature_part, SIGNATURE_SIZE),
+            )
+            firmware_size, firmware = _read_file(*firmware_part, max_firmware)
+        elif path.is_file():
+            (firmware_size, firmware), manifest_part, signature_part = _read_container(
+                path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
+            )
+            manifest, signature = _parse_parts(manifest_part, signature_part)
+        else:
+            raise BundleError("bundle", f"no such bundle: {path}")
     if firmware_size > max_firmware:
         raise ImageTooLarge(firmware_size, max_firmware, manifest)
     return FirmwarePackage(firmware, manifest, signature)
@@ -292,22 +292,42 @@ def _parse_parts(
     return parse_manifest(manifest_raw), Signature(signature_raw, None)
 
 
-def _read_file(path: Path, limit: int) -> tuple[int, bytes]:
-    """(size, body) of one bundle file. A file that fstat shows is over
-    `limit` is not read (body b""). Otherwise it is read to its end or to
-    one byte past `limit`, and the size is what was read, so a file that
+def _open_parts(path: Path, opened: ExitStack) -> list[tuple[int, int]] | None:
+    """(fd, size) of each part of a directory bundle, firmware, manifest and
+    signature in that order, each fd closed by `opened`, or None when path is
+    not a directory. All three are opened, in that order, before any is read.
+    O_NONBLOCK makes a FIFO named like a part open at once; it then fails the
+    S_ISREG check on the fstat that also gives the size, as a directory does."""
+    parts = []
+    for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
+        try:
+            fd = os.open(path / name, os.O_RDONLY | os.O_NONBLOCK)
+        except (FileNotFoundError, NotADirectoryError):
+            if not path.is_dir():
+                return None
+            raise BundleError(name, "missing from bundle directory") from None
+        opened.callback(os.close, fd)
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise BundleError(name, "missing from bundle directory")
+        parts.append((fd, st.st_size))
+    return parts
+
+
+def _read_file(fd: int, size: int, limit: int) -> tuple[int, bytes]:
+    """(size, body) of one open bundle file whose fstat gave size. A file
+    over `limit` is not read (body b""). Otherwise it is read to its end or
+    to one byte past `limit`, and the size is what was read, so a file that
     grew after the fstat still fails its size check. The first read asks for
     the fstat size + 1, later ones for at most _READ_STEP: read(n) allocates
     n bytes up front, and the limit can be far above the file's size."""
-    with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > limit:
-            return size, b""
-        chunks = [fh.read(size + 1)]
-        total = len(chunks[0])
-        while total <= limit and (chunk := fh.read(min(limit + 1 - total, _READ_STEP))):
-            chunks.append(chunk)
-            total += len(chunk)
+    if size > limit:
+        return size, b""
+    chunks = [os.read(fd, size + 1)]
+    total = len(chunks[0])
+    while total <= limit and (chunk := os.read(fd, min(limit + 1 - total, _READ_STEP))):
+        chunks.append(chunk)
+        total += len(chunk)
     return total, b"".join(chunks)
 
 

@@ -16,14 +16,17 @@ Layout inside a state directory:
                reorder, or truncation-in-the-middle breaks the chain
   lock         advisory exclusive lock held by the single writer
 
-Ordering discipline: audit records are flushed before the operation that
-produced them reports completion, and the VERIFY_ACCEPT record is written
-before the counter commit, so a crash at any boundary leaves the counter at
-the last committed accept while the log still shows the attempt. load()
-redoes what such a crash cut short: it commits a last VERIFY_ACCEPT that is
-above the counter, and cuts off a torn last line, appending a RECOVER record
-for each repair. The read-only readers never write: they leave a torn last
-line out and report its length.
+Ordering discipline: each audit record is written with one write(2) (and
+fsynced when durable) before the operation that produced it reports
+completion, and the VERIFY_ACCEPT record is written before the counter
+commit, so a crash at any boundary leaves the counter at the last committed
+accept while the log still shows the attempt. load() redoes what such a
+crash cut short: it commits a last VERIFY_ACCEPT that is above the counter,
+and cuts off a torn last line, appending a RECOVER record for each repair.
+A failed write or fsync closes the store for good, since what reached the
+disk is then unknown: only a new load() repairs the files and writes again.
+The read-only readers never write: they leave a torn last line out and
+report its length.
 """
 
 from __future__ import annotations
@@ -184,25 +187,41 @@ class SecureStateStore:
     simulate a crash at that exact point.
     """
 
-    def __init__(self, *, _path: Path, _anchor: PublicKey, _nv: int, _slot: int,
-                 _counter_fd: int, _last_seq: int, _last_hash: str, _lock_fd: int,
-                 _audit_fh, _durable: bool):
-        self._path = _path
-        self._anchor = _anchor
-        self._anchor_bytes = _anchor.to_file_bytes()
-        self._nv = _nv
-        self._slot = _slot  # the counter slot that holds _nv
-        self._counter_fd = _counter_fd
-        self._last_seq = _last_seq
-        self._last_hash = _last_hash
-        self._lock_fd = _lock_fd
-        self._audit_fh = _audit_fh
-        self._durable = _durable
-        self._mutex = threading.Lock()
-        self._closed = False
-        self.crash_hook: Callable[[str], None] | None = None
-
     # -- construction ------------------------------------------------------
+
+    def __init__(self, path: Path, *, durable: bool,
+                 crash_hook: Callable[[str], None] | None = None,
+                 _install: Callable[[], None] | None = None):
+        """Take the writer lock, run _install under it, then open the files.
+        The first write follows: PROVISION after an install, else whatever
+        repair the log's tail calls for. A failure closes what was opened."""
+        self._path = path
+        self._durable = durable
+        self.crash_hook = crash_hook
+        self._mutex = threading.Lock()
+        self._closed: str | None = None  # why calls are refused, once they are
+        self._counter_fd = self._audit_fd = -1
+        self._lock_fd = _acquire_lock(path)
+        try:
+            if _install is not None:
+                _install()
+            self._anchor = _read_anchor(path)
+            self._anchor_bytes = self._anchor.to_file_bytes()
+            self._counter_fd = _open_counter(path, os.O_RDWR)
+            self._nv, self._slot = _highest_slot(self._counter_fd, self._anchor_bytes)
+            last, self._last_hash, torn = _scan_audit_tail(path / AUDIT_NAME)
+            self._last_seq = last.seq if last is not None else 0
+            self._audit_fd = os.open(
+                path / AUDIT_NAME, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+            )
+            if _install is not None:
+                scheme = self._anchor.scheme.value
+                self.append_audit(AuditEvent.PROVISION, detail=f"anchor={scheme}")
+            else:
+                self._recover(last, torn)
+        except BaseException:
+            self._shut("store failed to open")
+            raise
 
     @classmethod
     def provision(
@@ -217,21 +236,21 @@ class SecureStateStore:
         """Install the trust anchor with the counter at zero.
 
         Re-provisioning an existing state directory requires reset=True, which
-        archives (never deletes) the previous state and audit log. crash_hook,
-        when given, is installed before the first audit record is written so
-        fault injection can reach the provisioning boundaries too.
+        archives (never deletes) the previous state and audit log. A counter
+        or log left in a directory without state.json is archived too, since
+        that directory is not provisioned. crash_hook, when given, is
+        installed before the first audit record is written so fault
+        injection can reach the provisioning boundaries too.
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        lock_fd = _acquire_lock(path)
-        counter_fd = None
-        try:
-            state_path = path / STATE_NAME
-            if state_path.exists():
-                if not reset:
-                    raise AlreadyProvisionedError(
-                        f"{path} is already provisioned; pass reset to archive and start over"
-                    )
+
+        def install() -> None:
+            if (path / STATE_NAME).exists() and not reset:
+                raise AlreadyProvisionedError(
+                    f"{path} is already provisioned; pass reset to archive and start over"
+                )
+            if any((path / name).exists() for name in (STATE_NAME, COUNTER_NAME, AUDIT_NAME)):
                 _archive_existing(path)
             # the counter first: state.json is what marks a directory provisioned;
             # slot 0 holds 0 and slot 1 no valid value
@@ -240,56 +259,15 @@ class SecureStateStore:
             _write_file_atomic(path, COUNTER_NAME, slots, durable)
             state = json.dumps({"anchor": anchor_bytes.hex()}, separators=(",", ":"))
             _write_file_atomic(path, STATE_NAME, state.encode("utf-8") + b"\n", durable)
-            counter_fd = os.open(path / COUNTER_NAME, os.O_RDWR)
-            audit_path = path / AUDIT_NAME
-            if audit_path.exists():  # pragma: no cover - archived above
-                audit_path.unlink()
-            audit_fh = open(audit_path, "ab")
-        except BaseException:
-            if counter_fd is not None:
-                os.close(counter_fd)
-            _release_lock(lock_fd)
-            raise
-        store = cls(
-            _path=path, _anchor=anchor, _nv=0, _slot=0, _counter_fd=counter_fd, _last_seq=0,
-            _last_hash=GENESIS_HASH, _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
-        )
-        store.crash_hook = crash_hook
-        try:
-            store.append_audit(AuditEvent.PROVISION, detail=f"anchor={anchor.scheme.value}")
-        except BaseException:
-            store.close()  # the on-disk artifacts stay; in-process resources must not leak
-            raise
-        return store
+
+        return cls(path, durable=durable, crash_hook=crash_hook, _install=install)
 
     @classmethod
     def load(cls, path: str | Path, *, durable: bool = True) -> "SecureStateStore":
         path = Path(path)
         if not (path / STATE_NAME).exists():
             raise NotProvisionedError(f"{path} holds no provisioned state")
-        lock_fd = _acquire_lock(path)
-        counter_fd = None
-        try:
-            anchor = _read_anchor(path)
-            counter_fd, nv, slot = _open_counter(path, anchor, os.O_RDWR)
-            last, last_hash, torn = _scan_audit_tail(path / AUDIT_NAME)
-            audit_fh = open(path / AUDIT_NAME, "ab")
-        except BaseException:
-            if counter_fd is not None:
-                os.close(counter_fd)
-            _release_lock(lock_fd)
-            raise
-        store = cls(
-            _path=path, _anchor=anchor, _nv=nv, _slot=slot, _counter_fd=counter_fd,
-            _last_seq=last.seq if last is not None else 0, _last_hash=last_hash,
-            _lock_fd=lock_fd, _audit_fh=audit_fh, _durable=durable,
-        )
-        try:
-            store._recover(last, torn)
-        except BaseException:
-            store.close()
-            raise
-        return store
+        return cls(path, durable=durable)
 
     @staticmethod
     def is_provisioned(path: str | Path) -> bool:
@@ -314,7 +292,9 @@ class SecureStateStore:
     def check_version(self, candidate: int) -> bool:
         """Anti-rollback gate: candidate is acceptable iff strictly above the
         committed counter (and within the MAX_COUNTER a slot holds). Never
-        mutates."""
+        mutates; raises StateError on a closed store, whose counter may be
+        behind what the files hold."""
+        self._assert_open()
         return isinstance(candidate, int) and self._nv < candidate <= MAX_COUNTER
 
     def commit_version(self, version: int) -> None:
@@ -324,7 +304,6 @@ class SecureStateStore:
         see the old value or the new one; nothing is created, truncated or
         renamed, so no directory fsync is needed either."""
         with self._mutex:
-            self._assert_open()
             if not self.check_version(version):
                 if isinstance(version, int) and version > MAX_COUNTER:
                     raise StateError(f"refusing counter commit: {version} > {MAX_COUNTER}")
@@ -333,12 +312,8 @@ class SecureStateStore:
                 )
             self._fire("commit:pre")
             slot = 1 - self._slot
-            written = os.pwrite(self._counter_fd, _counter_slot(version, self._anchor_bytes),
-                                slot * _SLOT_SIZE)
-            if written != _SLOT_SIZE:
-                raise StateError(f"short {COUNTER_NAME} write: {written} of {_SLOT_SIZE} bytes")
-            if self._durable:
-                os.fsync(self._counter_fd)
+            self._write(self._counter_fd, COUNTER_NAME,
+                        _counter_slot(version, self._anchor_bytes), slot * _SLOT_SIZE)
             self._slot = slot
             self._nv = version
             self._fire("commit:post")
@@ -354,8 +329,8 @@ class SecureStateStore:
         digest: str | None = None,
         detail: str | None = None,
     ) -> AuditRecord:
-        """Append one record to the hash chain and flush it to the OS before
-        returning (write-ahead: callers report completion only afterwards)."""
+        """Append one record to the hash chain in one write before returning
+        (write-ahead: callers report completion only afterwards)."""
         with self._mutex:
             self._assert_open()
             record = AuditRecord(
@@ -372,33 +347,17 @@ class SecureStateStore:
             # the boundary names are built only when a hook will see them
             if self.crash_hook is not None:
                 self.crash_hook(f"audit:pre:{event.value}")
-            self._audit_fh.write(line + b"\n")
-            self._audit_fh.flush()
-            if self._durable:
-                os.fsync(self._audit_fh.fileno())
+            self._write(self._audit_fd, AUDIT_NAME, line + b"\n")
             self._last_seq = record.seq
             self._last_hash = _line_hash(line)
             if self.crash_hook is not None:
                 self.crash_hook(f"audit:post:{event.value}")
             return record
 
-    def read_records(self) -> list[AuditRecord]:
-        self._audit_fh.flush()
-        return read_audit(self._path)
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._audit_fh.flush()
-        except Exception:
-            pass
-        self._audit_fh.close()
-        os.close(self._counter_fd)
-        _release_lock(self._lock_fd)
+        self._shut("store is closed")
 
     def __enter__(self) -> "SecureStateStore":
         return self
@@ -407,8 +366,33 @@ class SecureStateStore:
         self.close()
 
     def _assert_open(self) -> None:
-        if self._closed:
-            raise StateError("store is closed")
+        if self._closed is not None:
+            raise StateError(self._closed)
+
+    def _shut(self, why: str) -> None:
+        """Close the files without another write and release the writer
+        lock, once; every later call raises StateError(why)."""
+        if self._closed is not None:
+            return
+        self._closed = why
+        for fd in (self._audit_fd, self._counter_fd):
+            if fd >= 0:
+                os.close(fd)
+        _release_lock(self._lock_fd)
+
+    def _write(self, fd: int, name: str, data: bytes, offset: int | None = None) -> None:
+        """Write data to fd in one write(2), or one pwrite(2) at offset, then
+        fsync when durable. Any failure closes the store for good: what
+        reached the disk is then unknown, and a retry could write twice."""
+        try:
+            written = os.write(fd, data) if offset is None else os.pwrite(fd, data, offset)
+            if written != len(data):
+                raise StateError(f"short {name} write: {written} of {len(data)} bytes")
+            if self._durable:
+                os.fsync(fd)
+        except BaseException as exc:
+            self._shut(f"store closed after a failed {name} write ({exc!r}); load it again")
+            raise
 
     def _fire(self, boundary: str) -> None:
         if self.crash_hook is not None:
@@ -423,7 +407,7 @@ class SecureStateStore:
         passed every gate. The commit comes before the RECOVER records, so a
         crash in here cannot leave the log ahead of the counter either."""
         if torn:
-            self._audit_fh.truncate(self._audit_fh.seek(0, os.SEEK_END) - torn)
+            os.ftruncate(self._audit_fd, os.fstat(self._audit_fd).st_size - torn)
         counter = self._nv
         roll_forward = (
             last is not None
@@ -453,9 +437,11 @@ def read_state(path: str | Path) -> tuple[PublicKey, int]:
     sees the old value or the new one."""
     path = Path(path)
     anchor = _read_anchor(path)
-    fd, nv, _ = _open_counter(path, anchor, os.O_RDONLY)
-    os.close(fd)
-    return anchor, nv
+    fd = _open_counter(path, os.O_RDONLY)
+    try:
+        return anchor, _highest_slot(fd, anchor.to_file_bytes())[0]
+    finally:
+        os.close(fd)
 
 
 def read_audit(path: str | Path) -> list[AuditRecord]:
@@ -557,26 +543,20 @@ def _counter_slot(nv: int, anchor_bytes: bytes) -> bytes:
     return b"%s %s\n" % (digits, check.encode("ascii"))
 
 
-def _open_counter(path: Path, anchor: PublicKey, flags: int) -> tuple[int, int, int]:
-    """Open the counter file with flags: its fd, the counter and the slot
-    that holds it, the highest of the slots whose check verifies."""
+def _open_counter(path: Path, flags: int) -> int:
     try:
-        fd = os.open(path / COUNTER_NAME, flags)
+        return os.open(path / COUNTER_NAME, flags)
     except FileNotFoundError:
         raise StateError(
             f"{path} has no {COUNTER_NAME} file; a state directory whose counter is "
             f"in {STATE_NAME} must be provisioned again with --reset"
         ) from None
-    try:
-        nv, slot = _highest_slot(os.pread(fd, 2 * _SLOT_SIZE, 0), anchor.to_file_bytes())
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd, nv, slot
 
 
-def _highest_slot(data: bytes, anchor_bytes: bytes) -> tuple[int, int]:
-    """(counter, slot) of the highest slot of data whose check verifies."""
+def _highest_slot(fd: int, anchor_bytes: bytes) -> tuple[int, int]:
+    """(counter, slot) of the highest slot of the counter file open at fd
+    whose check verifies."""
+    data = os.pread(fd, 2 * _SLOT_SIZE, 0)
     valid = []
     for slot in (0, 1):
         raw = data[slot * _SLOT_SIZE:(slot + 1) * _SLOT_SIZE]
@@ -663,7 +643,7 @@ def _lines_backwards(audit_path: Path) -> Iterator[bytes]:
         yield b""
 
 
-def _archive_existing(path: Path) -> Path:
+def _archive_existing(path: Path) -> None:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     n = 0
     while True:
@@ -676,4 +656,3 @@ def _archive_existing(path: Path) -> Path:
         source = path / name
         if source.exists():
             os.replace(source, target / name)
-    return target

@@ -360,7 +360,7 @@ def test_crash_at_every_audit_boundary_keeps_state_consistent(tmp_path):
         try:
             assert store.nv_counter == last, (k, crash_label, logged_accepts)
             recovered = [
-                r for r in store.read_records() if r.event is AuditEvent.RECOVER
+                r for r in read_audit(path) if r.event is AuditEvent.RECOVER
             ]
             if crash_label in interrupted_accept:
                 assert [r.version for r in recovered] == [last], (k, crash_label)

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import tempfile
@@ -26,7 +27,7 @@ from faarm.monitor import (
     replay_protocol_invariants,
 )
 from faarm.packaging import FLAG_REQUIRES_LOCK, FirmwarePackage, canonical_bytes, write_bundle
-from faarm.state import AuditEvent, SecureStateStore, read_audit
+from faarm.state import AuditEvent, SecureStateStore, StateError, check_audit_chain, read_audit
 
 from conftest import traced_peak, write_container
 
@@ -35,7 +36,7 @@ GIB = 1 << 30
 
 
 def events_of(env):
-    return [r.event for r in env.store.read_records()]
+    return [r.event for r in read_audit(env.store.path)]
 
 
 def write_sparse_image_bundle(path, image_size, manifest_raw, signature):
@@ -194,7 +195,7 @@ class TestRejections:
         assert peak < 1 << 20
         assert env.region.size() == 0
         assert env.store.nv_counter == 0
-        rejects = [r for r in env.store.read_records() if r.event is AuditEvent.VERIFY_REJECT]
+        rejects = [r for r in read_audit(env.store.path) if r.event is AuditEvent.VERIFY_REJECT]
         assert [(r.reason, r.version, r.detail) for r in rejects] == [
             ("oversize", 1, result.detail)
         ]
@@ -223,7 +224,7 @@ class TestRejections:
         pkg = env.package(FW, 1)
         evil = FirmwarePackage(pkg.firmware, pkg.manifest, Signature(bytes(64)))
         env.monitor.verify_and_lock(evil)
-        records = env.store.read_records()
+        records = read_audit(env.store.path)
         rejects = [r for r in records if r.event is AuditEvent.VERIFY_REJECT]
         assert len(rejects) == 1
         assert rejects[0].reason == "bad-signature"
@@ -387,26 +388,26 @@ class TestVerifyBundle:
     ):
         env = make_env(capacity=1024)
         path = write_bundle(env.package(FW, 1), tmp_path / "bundle")
+        image = (path / "firmware.bin").stat().st_ino
         read = []
+        real_fstat, real_read = os.fstat, os.read
 
-        class CountingFile(io.FileIO):
-            def read(self, size=-1):
-                data = super().read(size)
-                read.append((Path(self.name).name, len(data)))
-                return data
-
-        real_fstat = os.fstat
+        def counting_read(fd, n):
+            data = real_read(fd, n)
+            if real_fstat(fd).st_ino == image:
+                read.append(len(data))
+            return data
 
         def under_reporting_fstat(fd):
             st = real_fstat(fd)
             return os.stat_result((*st[:6], 0, *st[7:]))
 
         monkeypatch.setattr(packaging.os, "fstat", under_reporting_fstat)
-        monkeypatch.setattr(packaging, "open", lambda p, *_, **__: CountingFile(p), raising=False)
+        monkeypatch.setattr(packaging.os, "read", counting_read)
         result = env.monitor.verify_bundle(path)
         assert result.reason is RejectionReason.OVERSIZE
         assert result.detail == "1025 bytes exceeds region capacity 1024"
-        assert sum(n for name, n in read if name == "firmware.bin") <= 1025
+        assert 0 < sum(read) <= 1025
         # a far bound reads the grown file to its end in steps, not in one huge read
         assert packaging.read_bundle(path, max_firmware=1 << 62).firmware == FW
 
@@ -452,7 +453,7 @@ class TestToctouClosure:
             HookPoint.POST_LOCK, lambda: env.region.el1_write(0, b"\x66" * 16)
         )
         env.monitor.verify_and_lock(env.package(FW, 1))
-        denied = [r for r in env.store.read_records() if r.event is AuditEvent.WRITE_DENIED]
+        denied = [r for r in read_audit(env.store.path) if r.event is AuditEvent.WRITE_DENIED]
         assert len(denied) == 1
 
 
@@ -464,7 +465,7 @@ class TestSessionsAndTasks:
     def test_clean_session_recheck(self, env):
         env.monitor.verify_and_lock(env.package(FW, 1))
         assert env.monitor.session_start() is True
-        recheck = [r for r in env.store.read_records() if r.event is AuditEvent.SESSION_RECHECK]
+        recheck = [r for r in read_audit(env.store.path) if r.event is AuditEvent.SESSION_RECHECK]
         assert recheck[-1].detail == "clean"
 
     def test_tamper_quarantines_until_next_good_load(self, make_env):
@@ -509,7 +510,7 @@ class TestSessionsAndTasks:
         task = env.monitor.submit_task(result.token, b"ENC1" + b"task data")
         assert task.admitted
         assert task.digest_hex == result.digest.hex
-        admits = [r for r in env.store.read_records() if r.event is AuditEvent.TASK_ADMIT]
+        admits = [r for r in read_audit(env.store.path) if r.event is AuditEvent.TASK_ADMIT]
         assert len(admits) == 1
         assert admits[0].digest == result.digest.hex
 
@@ -544,7 +545,7 @@ class TestSessionsAndTasks:
         task = env.monitor.submit_task(result.token, b"ENC1data")
         assert not task.admitted
         assert task.reason == "quarantined"
-        denies = [r for r in env.store.read_records() if r.event is AuditEvent.TASK_DENY]
+        denies = [r for r in read_audit(env.store.path) if r.event is AuditEvent.TASK_DENY]
         assert denies
 
 
@@ -650,6 +651,124 @@ class TestStatusFromTheTail:
         assert 0 < sum(read) <= 8 * block
 
 
+class FaultyOs:
+    """Stands in for the os global of faarm.state, recording each write,
+    pwrite and fsync, and failing the nth call of one of them: it raises EIO,
+    or, when short, writes half of its bytes and returns that count."""
+
+    def __init__(self, fail: str | None = None, nth: int = 0, short: bool = False):
+        self.fail, self.nth, self.short = fail, nth, short
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def _call(self, name, fd, *args):
+        self.calls.append(name)
+        if name == self.fail and self.calls.count(name) == self.nth:
+            if not self.short:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            args = (args[0][: len(args[0]) // 2], *args[1:])
+        return getattr(os, name)(fd, *args)
+
+    def write(self, *args):
+        return self._call("write", *args)
+
+    def pwrite(self, *args):
+        return self._call("pwrite", *args)
+
+    def fsync(self, *args):
+        return self._call("fsync", *args)
+
+
+def _tampered(env, version):
+    pkg = env.package(FW[::-1], version)
+    return FirmwarePackage(FW, pkg.manifest, pkg.signature)
+
+
+# each path runs on a durable store after version 1 was accepted, with the
+# syscalls of faarm.state it makes in order
+FAULT_PATHS = {
+    "accept": (
+        lambda env: env.monitor.verify_and_lock(env.package(FW[::-1], 2)),
+        ["write", "fsync", "write", "fsync", "pwrite", "fsync"],  # LOCK, ACCEPT, commit
+    ),
+    "reject": (
+        lambda env: env.monitor.verify_and_lock(_tampered(env, 2)),
+        ["write", "fsync"],
+    ),
+    "denied-el1-write": (
+        lambda env: env.region.el1_write(0, b"\x66" * 16),
+        ["write", "fsync"],
+    ),
+    "session-start": (
+        lambda env: env.monitor.session_start(),
+        ["write", "fsync"],
+    ),
+}
+
+
+class TestFailStop:
+    """A failed write or fsync closes the store: retrying in the same process
+    could write a record or a commit twice, and only a load repairs it."""
+
+    @pytest.mark.parametrize("path_name", FAULT_PATHS)
+    def test_a_failed_write_stops_the_store_until_a_load_repairs_it(
+        self, make_env, monkeypatch, tmp_path, path_name
+    ):
+        op, syscalls = FAULT_PATHS[path_name]
+        faults = []
+        for i, name in enumerate(syscalls):
+            nth = syscalls[: i + 1].count(name)
+            faults.append((name, nth, False))
+            if name != "fsync":
+                faults.append((name, nth, True))
+
+        for fail, nth, short in [(None, 0, False), *faults]:
+            env = make_env(durable=True)
+            first = env.monitor.verify_and_lock(env.package(FW, 1))
+            assert first.accepted
+            faulty = FaultyOs(fail, nth, short)
+            with monkeypatch.context() as patch:
+                patch.setattr(state, "os", faulty)
+                if fail is None:
+                    op(env)
+                    assert faulty.calls == syscalls
+                    continue
+                with pytest.raises((OSError, StateError)):
+                    op(env)
+            case = (fail, nth, short)
+
+            # every mutating entry point now refuses, and none touches the region
+            region = env.region.snapshot()
+            retries = (
+                lambda: op(env),
+                lambda: env.monitor.verify_and_lock(env.package(FW[::-1], 3)),
+                lambda: env.monitor.verify_bundle(tmp_path / "no-such-bundle"),
+                lambda: env.monitor.session_start(),
+                lambda: env.monitor.submit_task(first.token, b"ENC1go"),
+                lambda: env.region.el1_write(0, b"\x66"),
+            )
+            for retry in retries:
+                with pytest.raises(StateError, match="failed .* write.*load it again"):
+                    retry()
+            assert env.region.snapshot() == region, case
+
+            store = SecureStateStore.load(env.store.path, durable=True)
+            try:
+                check_audit_chain(store.path)
+                _, last_accept = replay_protocol_invariants(read_audit(store.path))
+                assert store.nv_counter == last_accept, case
+                monitor = faarm.monitor.Monitor(
+                    store, faarm.mcu.McuRegion(capacity=len(FW)), mcu_id=env.monitor.mcu_id
+                )
+                image = FW if last_accept == 1 else FW[::-1]
+                replay = monitor.verify_and_lock(env.package(image, last_accept))
+                assert replay.reason is RejectionReason.ROLLBACK, case
+            finally:
+                store.close()
+
+
 class TestExitCodes:
     def test_exit_code_table(self):
         assert EXIT_CODES[RejectionReason.BAD_SIGNATURE] == 10
@@ -672,15 +791,15 @@ class TestReplayValidator:
         env.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=2, digest="ab" * 32)
         env.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=2, digest="ab" * 32)
         with pytest.raises(ReplayError, match="not above"):
-            replay_protocol_invariants(env.store.read_records())
+            replay_protocol_invariants(read_audit(env.store.path))
 
     def test_task_admit_against_wrong_digest_fails(self, env):
         env.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="ab" * 32)
         env.store.append_audit(AuditEvent.TASK_ADMIT, digest="cd" * 32)
         with pytest.raises(ReplayError, match="task admitted"):
-            replay_protocol_invariants(env.store.read_records())
+            replay_protocol_invariants(read_audit(env.store.path))
 
     def test_task_admit_before_any_accept_fails(self, env):
         env.store.append_audit(AuditEvent.TASK_ADMIT, digest="ab" * 32)
         with pytest.raises(ReplayError, match="before any accept"):
-            replay_protocol_invariants(env.store.read_records())
+            replay_protocol_invariants(read_audit(env.store.path))

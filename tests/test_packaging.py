@@ -319,6 +319,20 @@ class TestBundles:
         with pytest.raises(BundleError, match="firmware.sig"):
             read_bundle(path)
 
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_a_part_that_is_no_regular_file_is_missing(self, tmp_path, ed25519_key, kind):
+        # a FIFO must fail without blocking; an earlier part wins over a
+        # malformed manifest, since every part is opened before any is read
+        path = self.roundtrip(tmp_path, ed25519_key, "bundle")
+        (path / "firmware.bin").unlink()
+        (path / "manifest.json").write_bytes(b"not json")
+        if kind == "fifo":
+            os.mkfifo(path / "firmware.bin")
+        else:
+            (path / "firmware.bin").mkdir()
+        with pytest.raises(BundleError, match="firmware.bin: missing from bundle directory"):
+            read_bundle(path)
+
     def test_wrong_size_signature_rejected(self, tmp_path, ed25519_key):
         path = self.roundtrip(tmp_path, ed25519_key, "bundle")
         (path / "firmware.sig").write_bytes(b"\x00" * 63)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -53,7 +54,7 @@ class TestProvision:
         assert store.anchor == ed25519_key.public
 
     def test_provision_writes_audit_genesis(self, store):
-        records = store.read_records()
+        records = read_audit(store.path)
         assert len(records) == 1
         assert records[0].event is AuditEvent.PROVISION
         assert records[0].seq == 1
@@ -80,6 +81,21 @@ class TestProvision:
         finally:
             s2.close()
 
+    def test_a_leftover_counter_and_log_without_state_are_archived(
+        self, tmp_path, ed25519_key, store
+    ):
+        # without state.json the directory is not provisioned, so no reset is
+        # needed, and the old chain is kept rather than appended to
+        for _ in range(3):
+            store.append_audit(AuditEvent.TASK_DENY, reason="x")
+        store.close()
+        old = {name: (store.path / name).read_bytes() for name in ("counter", "audit.log")}
+        (store.path / "state.json").unlink()
+        SecureStateStore.provision(ed25519_key.public, store.path, durable=False).close()
+        (archive,) = store.path.glob("archive-*")
+        assert {name: (archive / name).read_bytes() for name in old} == old
+        assert [(r.seq, r.event) for r in read_audit(store.path)] == [(1, AuditEvent.PROVISION)]
+
     def test_load_unprovisioned_fails(self, tmp_path):
         with pytest.raises(NotProvisionedError):
             SecureStateStore.load(tmp_path / "nothing")
@@ -87,6 +103,58 @@ class TestProvision:
     def test_is_provisioned(self, tmp_path, store):
         assert SecureStateStore.is_provisioned(store.path)
         assert not SecureStateStore.is_provisioned(tmp_path / "elsewhere")
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestFailedOpen:
+    """A provision or load that fails closes what it opened and releases the
+    writer lock, so the next load in the same process succeeds."""
+
+    def test_a_held_writer_lock(self, store, ed25519_key):
+        before = open_fds()
+        with pytest.raises(StateLockError):
+            SecureStateStore.load(store.path, durable=False)
+        with pytest.raises(StateLockError):
+            SecureStateStore.provision(ed25519_key.public, store.path, reset=True)
+        assert open_fds() == before
+        store.close()
+        SecureStateStore.load(store.path, durable=False).close()
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: (path / "state.json").write_text("{broken"),
+        lambda path: (path / "counter").unlink(),
+        lambda path: (path / "counter").write_bytes(b"x" * 128),
+        lambda path: (path / "audit.log").write_bytes(
+            (path / "audit.log").read_bytes() + b"not json\n"
+        ),
+    ], ids=["corrupt-state-json", "missing-counter", "no-valid-slot", "corrupt-last-line"])
+    def test_a_damaged_file(self, store, damage):
+        store.close()
+        saved = {name: (store.path / name).read_bytes()
+                 for name in ("state.json", "counter", "audit.log")}
+        damage(store.path)
+        before = open_fds()
+        with pytest.raises(StateError):
+            SecureStateStore.load(store.path, durable=False)
+        assert open_fds() == before
+        for name, data in saved.items():
+            (store.path / name).write_bytes(data)
+        SecureStateStore.load(store.path, durable=False).close()
+
+    def test_a_crash_at_the_provision_record(self, tmp_path, ed25519_key):
+        def crash(boundary):
+            raise Boom(boundary)
+
+        before = open_fds()
+        with pytest.raises(Boom, match="audit:pre:PROVISION"):
+            SecureStateStore.provision(
+                ed25519_key.public, tmp_path / "s", durable=False, crash_hook=crash
+            )
+        assert open_fds() == before
+        SecureStateStore.load(tmp_path / "s", durable=False).close()
 
 
 class TestCounter:
@@ -155,7 +223,7 @@ class TestAuditChain:
     def test_seq_is_gapless(self, store):
         for i in range(5):
             store.append_audit(AuditEvent.VERIFY_REJECT, reason="rollback")
-        seqs = [r.seq for r in store.read_records()]
+        seqs = [r.seq for r in read_audit(store.path)]
         assert seqs == list(range(1, 7))  # provision + 5
 
     def test_chain_verifies_clean(self, store):
@@ -258,7 +326,7 @@ class TestCrashWindows:
         reloaded = SecureStateStore.load(tmp_path / "s", durable=False)
         try:
             assert reloaded.nv_counter == 1
-            records = reloaded.read_records()
+            records = read_audit(reloaded.path)
             assert [r.event for r in records] == [
                 AuditEvent.PROVISION, AuditEvent.VERIFY_ACCEPT, AuditEvent.RECOVER
             ]
@@ -332,7 +400,7 @@ class TestTornLastLine:
         reloaded = SecureStateStore.load(store.path, durable=False)
         try:
             assert reloaded.nv_counter == 1
-            records = reloaded.read_records()
+            records = read_audit(reloaded.path)
         finally:
             reloaded.close()
         assert records[:-1] == before
