@@ -51,12 +51,19 @@ class LockState(Enum):
 
 
 class WriteOrigin(Enum):
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with equality; Enum's own __hash__ runs in Python, and the
+    # attempts Counter hashes an origin and an outcome on every write
+    __hash__ = object.__hash__
+
     EL1 = "el1"
     EL3_SECURE_LOADER = "el3-secure-loader"
     TEST_HOOK = "test-hook"
 
 
 class WriteOutcome(Enum):
+    __hash__ = object.__hash__  # as WriteOrigin's
+
     APPLIED = "applied"
     DENIED = "denied"
 
@@ -115,13 +122,18 @@ class McuRegion:
     # -- write channels --------------------------------------------------------
 
     def el1_write(self, offset: int, data: bytes) -> WriteOutcome:
-        """Normal-world write: applied only while unlocked and in range."""
-        data = bytes(data)
+        """Normal-world write: applied only while unlocked and in range.
+        Decided from len(data), so a refused write is never copied. Only an
+        applied write copies data, and it gates the copy's length again,
+        since the caller's buffer may have grown in between."""
         with self._mutex:
             if offset < 0 or offset + len(data) > self.capacity:
-                return self._deny(WriteOrigin.EL1, offset, data, "range")
+                return self._deny(WriteOrigin.EL1, offset, len(data), "range")
             if self.lock_state is LockState.LOCKED:
-                return self._deny(WriteOrigin.EL1, offset, data, "locked")
+                return self._deny(WriteOrigin.EL1, offset, len(data), "locked")
+            data = bytes(data)
+            if offset + len(data) > self.capacity:
+                return self._deny(WriteOrigin.EL1, offset, len(data), "range")
             self._apply(offset, data)
             self.attempts[WriteOrigin.EL1, WriteOutcome.APPLIED] += 1
             return WriteOutcome.APPLIED
@@ -147,9 +159,9 @@ class McuRegion:
         data = bytes(data)
         with self._mutex:
             if offset < 0 or offset + len(data) > self.capacity:
-                return self._deny(WriteOrigin.TEST_HOOK, offset, data, "range")
+                return self._deny(WriteOrigin.TEST_HOOK, offset, len(data), "range")
             if self.lock_state is LockState.LOCKED and self.lock_mode is LockMode.HARDWARE_WP:
-                return self._deny(WriteOrigin.TEST_HOOK, offset, data, "hardware-wp")
+                return self._deny(WriteOrigin.TEST_HOOK, offset, len(data), "hardware-wp")
             self._apply(offset, data)
             self.attempts[WriteOrigin.TEST_HOOK, WriteOutcome.APPLIED] += 1
             return WriteOutcome.APPLIED
@@ -257,8 +269,8 @@ class McuRegion:
             self._content.extend(b"\x00" * (end - len(self._content)))
         self._content[offset:end] = data
 
-    def _deny(self, origin: WriteOrigin, offset: int, data: bytes, cause: str) -> WriteOutcome:
+    def _deny(self, origin: WriteOrigin, offset: int, size: int, cause: str) -> WriteOutcome:
         self.attempts[origin, WriteOutcome.DENIED] += 1
         if origin is WriteOrigin.EL1 and self.audit_sink is not None:
-            self.audit_sink(f"el1 write denied ({cause}) offset={offset} len={len(data)}")
+            self.audit_sink(f"el1 write denied ({cause}) offset={offset} len={size}")
         return WriteOutcome.DENIED

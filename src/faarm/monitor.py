@@ -17,6 +17,9 @@ a VERIFY_REJECT record, and leaves both the counter and the region untouched):
      the step-3 digest, in one critical section
      (no EL1 write can interleave)                -> lock-failed
  10. VERIFY_ACCEPT, counter commit, token issue
+     (if a record or the commit raises, the region is
+     restored to its pre-step-9 snapshot and the error
+     propagates)
 
 StageTimings splits each load into three stages: verify_ms spans the step-3
 hash and steps 4-8 (the signature and the three policy gates take
@@ -260,10 +263,18 @@ class Monitor:
             if rejection is not None:
                 return self._reject(*rejection, version, t_total, verify_ms, lock_ms)
 
-            if lock_engaged:
-                self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
-            self.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex)
-            self.store.commit_version(version)
+            try:
+                if lock_engaged:
+                    self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
+                self.store.append_audit(
+                    AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex
+                )
+                self.store.commit_version(version)
+            except BaseException:
+                # the region goes back to the image status() describes; the
+                # next load decides from the log whether this one was accepted
+                self.region.restore(snap)
+                raise
 
             self._current_version = version
             self._current_digest = digest

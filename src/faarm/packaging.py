@@ -14,8 +14,8 @@ import json
 import os
 import stat
 import struct
-from contextlib import ExitStack
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -128,15 +128,20 @@ class Manifest(Frozen):
 
 
 def canonical_bytes(manifest: Manifest) -> bytes:
-    """The unique byte serialization of a manifest; input to hashing/signing."""
-    obj = {
-        "version": manifest.version,
-        "mcu_id": manifest.mcu_id,
-        "timestamp": manifest.timestamp,
-        "firmware_hash": manifest.firmware_hash.hex,
-        "flags": list(manifest.flags),
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    """The unique byte serialization of a manifest; input to hashing/signing.
+    These are the bytes of json.dumps(obj, separators=(",", ":"),
+    ensure_ascii=False) encoded as UTF-8, where obj maps the keys of
+    MANIFEST_KEYS in order to the fields, the hash as hex and the flags as a
+    list. Assembled directly, since json.dumps builds a new encoder on every
+    call."""
+    flags = ",".join(map(encode_basestring, manifest.flags))
+    return (
+        f'{{"version":{int.__repr__(manifest.version)},'
+        f'"mcu_id":{encode_basestring(manifest.mcu_id)},'
+        f'"timestamp":{encode_basestring(manifest.timestamp)},'
+        f'"firmware_hash":{encode_basestring(manifest.firmware_hash.hex)},'
+        f'"flags":[{flags}]}}'
+    ).encode("utf-8")
 
 
 def parse_manifest(raw: bytes) -> Manifest:
@@ -256,23 +261,19 @@ def read_bundle(path: str | Path, *, max_firmware: int = DEFAULT_CAPACITY) -> Fi
     tag); manifest parsing is strict. Raises BundleError/ManifestError on any
     missing part or format violation.
     """
-    path = Path(path)
-    with ExitStack() as opened:
-        parts = _open_parts(path, opened)
-        if parts is not None:
-            firmware_part, manifest_part, signature_part = parts
-            manifest, signature = _parse_parts(
-                _read_file(*manifest_part, MAX_MANIFEST_BYTES),
-                _read_file(*signature_part, SIGNATURE_SIZE),
-            )
-            firmware_size, firmware = _read_file(*firmware_part, max_firmware)
-        elif path.is_file():
-            (firmware_size, firmware), manifest_part, signature_part = _read_container(
-                path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
-            )
-            manifest, signature = _parse_parts(manifest_part, signature_part)
-        else:
-            raise BundleError("bundle", f"no such bundle: {path}")
+    try:
+        dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        dir_fd = -1
+    if dir_fd >= 0:
+        firmware_size, firmware, manifest, signature = _read_directory(dir_fd, max_firmware)
+    elif os.path.isfile(path):
+        (firmware_size, firmware), manifest_part, signature_part = _read_container(
+            path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
+        )
+        manifest, signature = _parse_parts(manifest_part, signature_part)
+    else:
+        raise BundleError("bundle", f"no such bundle: {Path(path)}")
     if firmware_size > max_firmware:
         raise ImageTooLarge(firmware_size, max_firmware, manifest)
     return FirmwarePackage(firmware, manifest, signature)
@@ -292,26 +293,38 @@ def _parse_parts(
     return parse_manifest(manifest_raw), Signature(signature_raw, None)
 
 
-def _open_parts(path: Path, opened: ExitStack) -> list[tuple[int, int]] | None:
-    """(fd, size) of each part of a directory bundle, firmware, manifest and
-    signature in that order, each fd closed by `opened`, or None when path is
-    not a directory. All three are opened, in that order, before any is read.
-    O_NONBLOCK makes a FIFO named like a part open at once; it then fails the
-    S_ISREG check on the fstat that also gives the size, as a directory does."""
-    parts = []
-    for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
-        try:
-            fd = os.open(path / name, os.O_RDONLY | os.O_NONBLOCK)
-        except (FileNotFoundError, NotADirectoryError):
-            if not path.is_dir():
-                return None
-            raise BundleError(name, "missing from bundle directory") from None
-        opened.callback(os.close, fd)
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise BundleError(name, "missing from bundle directory")
-        parts.append((fd, st.st_size))
-    return parts
+def _read_directory(
+    dir_fd: int, max_firmware: int
+) -> tuple[int, bytes, Manifest, Signature]:
+    """(image size, image, manifest, signature) of the directory bundle open
+    at dir_fd; closes dir_fd and every part it opens. Each part is opened by
+    name relative to dir_fd, so all three come from one directory, and all
+    three are opened, firmware, manifest and signature in that order, before
+    any is read. O_NONBLOCK makes a FIFO named like a part open at once; it
+    then fails the S_ISREG check on the fstat that also gives the size, as a
+    directory does."""
+    fds = [dir_fd]
+    try:
+        parts = []
+        for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
+            try:
+                fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK, dir_fd=dir_fd)
+            except FileNotFoundError:
+                raise BundleError(name, "missing from bundle directory") from None
+            fds.append(fd)
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise BundleError(name, "missing from bundle directory")
+            parts.append((fd, st.st_size))
+        firmware_part, manifest_part, signature_part = parts
+        manifest, signature = _parse_parts(
+            _read_file(*manifest_part, MAX_MANIFEST_BYTES),
+            _read_file(*signature_part, SIGNATURE_SIZE),
+        )
+        return (*_read_file(*firmware_part, max_firmware), manifest, signature)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _read_file(fd: int, size: int, limit: int) -> tuple[int, bytes]:

@@ -11,9 +11,11 @@ Layout inside a state directory:
                overwrites the other slot in place and creates or renames
                nothing, so a torn write spoils only a slot that holds no
                committed value
-  audit.log    one JSON record per line; each record carries the SHA-256 of
-               the previous raw line (64 zeros for the first), so any edit,
-               reorder, or truncation-in-the-middle breaks the chain
+  audit.log    one JSON record per line, built by _record_line, the one
+               line builder, as compact json.dumps writes it; each record
+               carries the SHA-256 of the previous raw line (64 zeros for
+               the first), so any edit, reorder, or truncation-in-the-middle
+               breaks the chain
   lock         advisory exclusive lock held by the single writer
 
 Ordering discipline: each audit record is written with one write(2) (and
@@ -107,22 +109,9 @@ class AuditRecord(NamedTuple):
     prev: str = GENESIS_HASH
 
     def to_line(self) -> bytes:
-        """The record as one line without its line end: the bytes of
-        json.dumps(obj, separators=(",", ":"), ensure_ascii=False) encoded as
-        UTF-8, where obj holds seq, time and event, then each of version,
-        reason, digest and detail that is not None, then prev. Assembled
-        directly, since json.dumps builds a new encoder on every call."""
-        seq, time_, event, version, reason, digest, detail, prev = self
-        line = f'{{"seq":{_json(seq)},"time":{_json(time_)},"event":{_json(event.value)}'
-        if version is not None:
-            line += f',"version":{_json(version)}'
-        if reason is not None:
-            line += f',"reason":{_json(reason)}'
-        if digest is not None:
-            line += f',"digest":{_json(digest)}'
-        if detail is not None:
-            line += f',"detail":{_json(detail)}'
-        return f'{line},"prev":{_json(prev)}}}'.encode("utf-8")
+        """The record as one line without its line end, from _record_line,
+        the one builder of audit lines."""
+        return _record_line(*self)
 
     @classmethod
     def from_line(cls, line: bytes) -> "AuditRecord":
@@ -147,6 +136,28 @@ class AuditRecord(NamedTuple):
             raise StateError(f"invalid audit record ({exc})") from None
 
 
+def _record_line(seq, time_, event, version, reason, digest, detail, prev) -> bytes:
+    """The audit line of a record with these fields, without its line end:
+    the bytes of json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    encoded as UTF-8, where obj holds seq, time and event, then each of
+    version, reason, digest and detail that is not None, then prev.
+    Assembled directly, since json.dumps builds a new encoder on every call.
+    append_audit writes its line from its arguments through this, and
+    AuditRecord.to_line gives a record's line through it."""
+    # an event's value is a plain name that JSON quotes as it is; _value_ is
+    # what Enum's value property returns, read without that call
+    line = f'{{"seq":{_json(seq)},"time":{_json(time_)},"event":"{event._value_}"'
+    if version is not None:
+        line += f',"version":{_json(version)}'
+    if reason is not None:
+        line += f',"reason":{_json(reason)}'
+    if digest is not None:
+        line += f',"digest":{_json(digest)}'
+    if detail is not None:
+        line += f',"detail":{_json(detail)}'
+    return f'{line},"prev":{_json(prev)}}}'.encode("utf-8")
+
+
 def _json(value) -> str:
     """value as json.dumps(value, ensure_ascii=False) writes it inside a
     compact object: str and int directly, anything else (a bool, or whatever
@@ -159,17 +170,21 @@ def _json(value) -> str:
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
+# formatting is most of the cost of a timestamp; a flood of appends stamps
+# many records within one millisecond, and more within one second
 @functools.lru_cache(maxsize=1)
 def _utc_second(second: int) -> str:
-    # formatting is most of the cost of a timestamp; a flood of appends
-    # stamps many records within one second
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
+
+
+@functools.lru_cache(maxsize=1)
+def _utc_millisecond(ms: int) -> str:
+    return f"{_utc_second(ms // 1000)}.{ms % 1000:03d}Z"
 
 
 def _now() -> str:
     """UTC now as YYYY-MM-DDTHH:MM:SS.mmmZ, milliseconds truncated."""
-    ms = time.time_ns() // 1_000_000
-    return f"{_utc_second(ms // 1000)}.{ms % 1000:03d}Z"
+    return _utc_millisecond(time.time_ns() // 1_000_000)
 
 
 def _line_hash(line: bytes) -> str:
@@ -333,26 +348,19 @@ class SecureStateStore:
         (write-ahead: callers report completion only afterwards)."""
         with self._mutex:
             self._assert_open()
-            record = AuditRecord(
-                seq=self._last_seq + 1,
-                time=_now(),
-                event=event,
-                version=version,
-                reason=reason,
-                digest=digest,
-                detail=detail,
-                prev=self._last_hash,
-            )
-            line = record.to_line()
+            seq = self._last_seq + 1
+            time_ = _now()
+            prev = self._last_hash
+            line = _record_line(seq, time_, event, version, reason, digest, detail, prev)
             # the boundary names are built only when a hook will see them
             if self.crash_hook is not None:
                 self.crash_hook(f"audit:pre:{event.value}")
             self._write(self._audit_fd, AUDIT_NAME, line + b"\n")
-            self._last_seq = record.seq
+            self._last_seq = seq
             self._last_hash = _line_hash(line)
             if self.crash_hook is not None:
                 self.crash_hook(f"audit:post:{event.value}")
-            return record
+            return AuditRecord(seq, time_, event, version, reason, digest, detail, prev)
 
     # -- lifecycle -----------------------------------------------------------
 

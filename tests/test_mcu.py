@@ -17,6 +17,8 @@ from faarm.mcu import (
     WriteOutcome,
 )
 
+from conftest import traced_peak
+
 
 @pytest.fixture
 def region():
@@ -56,6 +58,36 @@ class TestEl1Writes:
         assert len(calls) == denied == region.dump()["attempts"] == 10_000
         # the history is counted, not kept: its size does not grow with the writes
         assert len(region.attempts) <= 6
+
+    @pytest.mark.parametrize("cause", ["locked", "range"])
+    def test_a_denied_write_is_not_copied(self, cause):
+        data = bytearray(64 << 20)
+        calls = []
+        region = McuRegion(capacity=len(data) if cause == "locked" else 1024,
+                           audit_sink=calls.append)
+        if cause == "locked":
+            region.lock()
+        outcome, peak = traced_peak(lambda: region.el1_write(0, data))
+        assert outcome is WriteOutcome.DENIED
+        assert calls == [f"el1 write denied ({cause}) offset=0 len={len(data)}"]
+        assert peak < 1 << 20
+
+    def test_an_applied_write_keeps_its_own_copy(self, region):
+        data = bytearray(b"hello")
+        assert region.el1_write(0, data) is WriteOutcome.APPLIED
+        data[:] = b"HELLO, world"
+        assert region.read() == b"hello"
+
+    def test_an_applied_write_gates_the_length_of_its_copy(self):
+        class Understated(bytearray):  # as a buffer that grows after len() is taken
+            def __len__(self):
+                return 1
+
+        calls = []
+        region = McuRegion(capacity=8, audit_sink=calls.append)
+        assert region.el1_write(0, Understated(16)) is WriteOutcome.DENIED
+        assert calls == ["el1 write denied (range) offset=0 len=16"]
+        assert region.read() == b""
 
     @given(st.integers(min_value=0, max_value=120), st.binary(min_size=1, max_size=16))
     def test_applied_write_is_readable_back(self, offset, data):

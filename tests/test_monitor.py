@@ -738,6 +738,8 @@ class TestFailStop:
                 with pytest.raises((OSError, StateError)):
                     op(env)
             case = (fail, nth, short)
+            # status() describes the image the region holds, accepted or not
+            assert env.region.digest() == env.monitor.status().current_digest, case
 
             # every mutating entry point now refuses, and none touches the region
             region = env.region.snapshot()

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import threading
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from faarm.crypto import (
 from faarm.packaging import (
     FLAG_REQUIRES_LOCK,
     MAX_MANIFEST_BYTES,
+    MAX_VERSION,
     PKG_MAGIC,
     BundleError,
     ImageTooLarge,
@@ -69,6 +71,14 @@ flag_strategy = st.lists(
     max_size=4,
 )
 
+escape_heavy_text = st.one_of(
+    st.text(min_size=1),
+    st.text(alphabet=st.sampled_from(
+        ['"', "\\", "/", "\x00", "\x08", "\x1f", "\x7f", "\u2028", "\u2029", "é",
+         "\U0001f512", "\U00010000", "\ud800", "\udfff", "a"]
+    ), min_size=1),
+)
+
 manifest_strategy = st.builds(
     Manifest,
     version=st.integers(min_value=1, max_value=2**63),
@@ -117,6 +127,26 @@ class TestCanonicalForm:
     def test_non_ascii_mcu_id_roundtrips(self):
         m = make_manifest(mcu_id="MCU-über-1")
         assert parse_manifest(canonical_bytes(m)) == m
+
+    @given(
+        version=st.integers(min_value=1, max_value=MAX_VERSION),
+        mcu_id=escape_heavy_text,
+        flags=st.lists(escape_heavy_text, max_size=4),
+    )
+    def test_matches_json_dumps(self, version, mcu_id, flags):
+        m = make_manifest(version=version, mcu_id=mcu_id, flags=flags)
+        obj = {"version": m.version, "mcu_id": m.mcu_id, "timestamp": m.timestamp,
+               "firmware_hash": m.firmware_hash.hex, "flags": list(m.flags)}
+
+        def outcome(serialize):
+            try:
+                return serialize()
+            except Exception as exc:  # a lone surrogate cannot be encoded
+                return type(exc), str(exc)
+
+        assert outcome(lambda: canonical_bytes(m)) == outcome(
+            lambda: json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode()
+        )
 
 
 class TestManifestValidation:
@@ -410,6 +440,35 @@ class TestBundles:
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(BundleError, match="no such bundle"):
             read_bundle(tmp_path / "nope")
+
+    def test_a_fifo_at_the_bundle_path_is_no_bundle(self, tmp_path):
+        # refused without opening it: a read open of a FIFO blocks until a writer comes
+        path = tmp_path / "bundle"
+        os.mkfifo(path)
+        errors = []
+
+        def read():
+            try:
+                read_bundle(path)
+            except BundleError as exc:
+                errors.append(str(exc))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        if reader.is_alive():
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))  # lets the reader go
+            pytest.fail("read_bundle blocked on a FIFO at the bundle path")
+        assert errors == [f"bundle: no such bundle: {path}"]
+
+    def test_a_symlink_to_a_bundle_directory_loads(self, tmp_path, ed25519_key):
+        path = self.roundtrip(tmp_path, ed25519_key, "bundle")
+        link = tmp_path / "link"
+        link.symlink_to(path, target_is_directory=True)
+        back, direct = read_bundle(link), read_bundle(path)
+        assert (back.firmware, back.manifest, back.signature) == (
+            direct.firmware, direct.manifest, direct.signature
+        )
 
     def test_bad_container_magic_rejected(self, tmp_path):
         blob = tmp_path / "evil.pkg"

@@ -828,6 +828,40 @@ class TestRecordLine:
         record = AuditRecord(seq, time, event, version, reason, digest, detail, prev)
         assert line_outcome(AuditRecord.to_line, record) == line_outcome(reference_line, record)
 
+    @settings(max_examples=200)
+    @given(
+        event=st.sampled_from(AuditEvent),
+        version=st.none() | st.integers() | st.booleans() | json_value,
+        reason=st.none() | tricky_text,
+        digest=st.none() | tricky_text | json_value,
+        detail=st.none() | tricky_text,
+    )
+    def test_appended_lines_match_json_dumps(
+        self, ed25519_key, event, version, reason, digest, detail
+    ):
+        fields = dict(version=version, reason=reason, digest=digest, detail=detail)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = SecureStateStore.provision(ed25519_key.public, tmp, durable=False)
+            try:
+                log = Path(tmp) / "audit.log"
+                before = log.read_bytes()
+                try:
+                    record = store.append_audit(event, **fields)
+                except (UnicodeEncodeError, ValueError) as exc:
+                    # json.dumps cannot write the fields either, and nothing is written
+                    unwritable = AuditRecord(2, "t", event, **fields)
+                    assert line_outcome(reference_line, unwritable) is type(exc)
+                    assert log.read_bytes() == before
+                    records = 1
+                else:
+                    line = log.read_bytes()[len(before):]
+                    assert line == record.to_line() + b"\n" == reference_line(record) + b"\n"
+                    assert (record.seq, record.event) == (2, event)
+                    records = 2
+                assert check_audit_chain(tmp) == records
+            finally:
+                store.close()
+
     def test_written_lines_match_json_dumps(self, store):
         store.append_audit(AuditEvent.VERIFY_ACCEPT, version=True, digest=["x", 1.5])
         store.append_audit(AuditEvent.VERIFY_REJECT, version=2**70, reason='q"\\',
