@@ -9,12 +9,12 @@ secure loader uses to make verify-write-lock atomic against concurrent EL1
 writers; interposition hooks for adversarial schedules are fired by callers
 outside that critical section.
 
-The region holds its image as immutable bytes: secure_write and restore keep
-the caller's object without copying, so a snapshot can never alias a buffer
-that is written later. Only an in-place write on the unlocked path (EL1 or the
-test hook) turns the content into a private bytearray. lock() records the
-digest its EL3 caller computed over exactly the bytes it wrote inside
-exclusive(); without one it hashes the content itself.
+The region's image is always one immutable bytes object: secure_write and
+restore keep the caller's object without copying, and every in-place write (EL1
+or the test hook) goes through one gate that builds a new image rather than
+mutating the old one, so a snapshot shares the image and never copies it.
+lock() records the digest its EL3 caller computed over exactly the bytes it
+wrote inside exclusive(); without one it hashes the content itself.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class RegionSnapshot(NamedTuple):
 
 
 class McuRegion:
-    """The firmware region.
-
+    """The firmware region: one immutable bytes image at all times, written in
+    place only through the one gate that el1_write and tamper_test_hook call.
     audit_sink, when set, is called with a one-line detail string for every
     denied EL1 write; the monitor wires it to WRITE_DENIED audit records.
     attempts counts every write by (origin, outcome), so its size stays
@@ -106,7 +106,7 @@ class McuRegion:
         self.audit_sink = audit_sink
         self.fail_next_lock = False
         self.attempts: Counter[tuple[WriteOrigin, WriteOutcome]] = Counter()
-        self._content: bytes | bytearray = b""
+        self._content: bytes = b""
         self._mutex = threading.RLock()
         self._hooks: dict[HookPoint, list[Callable[[], None]]] = {p: [] for p in HookPoint}
 
@@ -122,21 +122,8 @@ class McuRegion:
     # -- write channels --------------------------------------------------------
 
     def el1_write(self, offset: int, data: bytes) -> WriteOutcome:
-        """Normal-world write: applied only while unlocked and in range.
-        Decided from len(data), so a refused write is never copied. Only an
-        applied write copies data, and it gates the copy's length again,
-        since the caller's buffer may have grown in between."""
-        with self._mutex:
-            if offset < 0 or offset + len(data) > self.capacity:
-                return self._deny(WriteOrigin.EL1, offset, len(data), "range")
-            if self.lock_state is LockState.LOCKED:
-                return self._deny(WriteOrigin.EL1, offset, len(data), "locked")
-            data = bytes(data)
-            if offset + len(data) > self.capacity:
-                return self._deny(WriteOrigin.EL1, offset, len(data), "range")
-            self._apply(offset, data)
-            self.attempts[WriteOrigin.EL1, WriteOutcome.APPLIED] += 1
-            return WriteOutcome.APPLIED
+        """Normal-world write: applied only while unlocked and in range."""
+        return self._write(WriteOrigin.EL1, offset, data)
 
     def secure_write(self, firmware: bytes) -> None:
         """EL3 loader path: replaces the entire image, keeping a bytes argument
@@ -156,15 +143,7 @@ class McuRegion:
     def tamper_test_hook(self, offset: int, data: bytes) -> WriteOutcome:
         """Out-of-band mutation modeling tampering that a software lock cannot
         stop; refused while hardware write-protect is engaged."""
-        data = bytes(data)
-        with self._mutex:
-            if offset < 0 or offset + len(data) > self.capacity:
-                return self._deny(WriteOrigin.TEST_HOOK, offset, len(data), "range")
-            if self.lock_state is LockState.LOCKED and self.lock_mode is LockMode.HARDWARE_WP:
-                return self._deny(WriteOrigin.TEST_HOOK, offset, len(data), "hardware-wp")
-            self._apply(offset, data)
-            self.attempts[WriteOrigin.TEST_HOOK, WriteOutcome.APPLIED] += 1
-            return WriteOutcome.APPLIED
+        return self._write(WriteOrigin.TEST_HOOK, offset, data)
 
     # -- lock ----------------------------------------------------------------
 
@@ -185,7 +164,7 @@ class McuRegion:
                 raise LockEngageError("region lock did not engage")
             self.lock_state = LockState.LOCKED
             if digest is None:
-                digest = hash_data(bytes(self._content))
+                digest = hash_data(self._content)
             self.running_digest = digest
             return True
 
@@ -202,19 +181,19 @@ class McuRegion:
         with self._mutex:
             if self.lock_state is not LockState.LOCKED:
                 raise RegionError("recheck requires a locked region")
-            return hash_data(bytes(self._content)) == self.running_digest
+            return hash_data(self._content) == self.running_digest
 
     # -- observation -----------------------------------------------------------
 
     def read(self, offset: int = 0, size: int | None = None) -> bytes:
         with self._mutex:
             if size is None:
-                return bytes(self._content[offset:])
-            return bytes(self._content[offset : offset + size])
+                return self._content[offset:]
+            return self._content[offset : offset + size]
 
     def digest(self) -> Digest:
         with self._mutex:
-            return hash_data(bytes(self._content))
+            return hash_data(self._content)
 
     def size(self) -> int:
         with self._mutex:
@@ -227,7 +206,7 @@ class McuRegion:
                 "lock_mode": self.lock_mode.value,
                 "lock_state": self.lock_state.value,
                 "size": len(self._content),
-                "digest": hash_data(bytes(self._content)).hex,
+                "digest": hash_data(self._content).hex,
                 "running_digest": self.running_digest.hex if self.running_digest else None,
                 "attempts": self.attempts.total(),
             }
@@ -236,7 +215,7 @@ class McuRegion:
 
     def snapshot(self) -> RegionSnapshot:
         with self._mutex:
-            return RegionSnapshot(bytes(self._content), self.lock_state, self.running_digest)
+            return RegionSnapshot(self._content, self.lock_state, self.running_digest)
 
     def restore(self, snap: RegionSnapshot) -> None:
         with self._mutex:
@@ -261,16 +240,30 @@ class McuRegion:
 
     # -- internals ------------------------------------------------------------------
 
-    def _apply(self, offset: int, data: bytes) -> None:
-        if not isinstance(self._content, bytearray):
-            self._content = bytearray(self._content)
-        end = offset + len(data)
-        if end > len(self._content):
-            self._content.extend(b"\x00" * (end - len(self._content)))
-        self._content[offset:end] = data
-
-    def _deny(self, origin: WriteOrigin, offset: int, size: int, cause: str) -> WriteOutcome:
-        self.attempts[origin, WriteOutcome.DENIED] += 1
-        if origin is WriteOrigin.EL1 and self.audit_sink is not None:
-            self.audit_sink(f"el1 write denied ({cause}) offset={offset} len={size}")
-        return WriteOutcome.DENIED
+    def _write(self, origin: WriteOrigin, offset: int, data: bytes) -> WriteOutcome:
+        """The one gate for in-place writes: range, then lock, decided from
+        len(data), so a refused write is never copied. A locked region refuses
+        EL1 in either lock mode, the test hook only under hardware
+        write-protect. Only an applied write copies data, and it gates the
+        copy's length again, since the caller's buffer may have grown since."""
+        el1 = origin is WriteOrigin.EL1
+        with self._mutex:
+            if offset < 0 or offset + len(data) > self.capacity:
+                cause = "range"
+            elif self.lock_state is LockState.LOCKED and (
+                el1 or self.lock_mode is LockMode.HARDWARE_WP
+            ):
+                cause = "locked"
+            else:
+                data = bytes(data)
+                end = offset + len(data)
+                if end <= self.capacity:
+                    content = self._content
+                    self._content = content[:offset].ljust(offset, b"\x00") + data + content[end:]
+                    self.attempts[origin, WriteOutcome.APPLIED] += 1
+                    return WriteOutcome.APPLIED
+                cause = "range"
+            self.attempts[origin, WriteOutcome.DENIED] += 1
+            if el1 and self.audit_sink is not None:
+                self.audit_sink(f"el1 write denied ({cause}) offset={offset} len={len(data)}")
+            return WriteOutcome.DENIED

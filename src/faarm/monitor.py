@@ -183,8 +183,7 @@ class Monitor:
         self._current_digest: Digest | None = None
         self._token: AuthToken | None = None
         self._serial = threading.RLock()
-        if region.audit_sink is None:
-            region.audit_sink = self._denied_write_sink
+        region.audit_sink = self._denied_write_sink
 
     def _denied_write_sink(self, detail: str) -> None:
         self.store.append_audit(AuditEvent.WRITE_DENIED, detail=detail)

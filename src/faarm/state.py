@@ -122,7 +122,7 @@ class AuditRecord(NamedTuple):
         if not isinstance(obj, dict) or not set(obj) <= set(_RECORD_KEYS):
             raise StateError("audit record has unexpected shape")
         try:
-            return cls(
+            record = cls(
                 seq=obj["seq"],
                 time=obj["time"],
                 event=AuditEvent(obj["event"]),
@@ -134,6 +134,12 @@ class AuditRecord(NamedTuple):
             )
         except (KeyError, ValueError) as exc:
             raise StateError(f"invalid audit record ({exc})") from None
+        # the next append adds 1 to seq; a bool is an int that JSON writes as true
+        if type(record.seq) is not int or record.seq < 1:
+            raise StateError(f"invalid audit record (seq {record.seq!r} is not a positive integer)")
+        if type(record.time) is not str or type(record.prev) is not str:
+            raise StateError("invalid audit record (time and prev must be strings)")
+        return record
 
 
 def _record_line(seq, time_, event, version, reason, digest, detail, prev) -> bytes:

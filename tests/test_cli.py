@@ -256,6 +256,22 @@ class TestStatusAndLog:
         out = cli("log", "--state", str(workshop["state"]), "--check", expect=1)
         assert "FAILED" in out.err
 
+    @pytest.mark.parametrize("seq, command, expect, err", [
+        (b'"1"', "verify", 2, "error: invalid audit record (seq '1' is not a positive integer)\n"),
+        (b"true", "check", 1, "audit check FAILED: audit.log line 1: "
+                              "invalid audit record (seq True is not a positive integer)\n"),
+    ])
+    def test_a_wrong_typed_seq_is_refused(self, cli, workshop, seq, command, expect, err):
+        log_path = workshop["state"] / "audit.log"
+        raw = log_path.read_bytes()
+        log_path.write_bytes(raw.replace(b'{"seq":1,', b'{"seq":' + seq + b",", 1))
+        state = ["--state", str(workshop["state"])]
+        if command == "verify":
+            out = cli("verify", str(workshop["bundle"]), *state, expect=expect)
+        else:
+            out = cli("log", *state, "--check", expect=expect)
+        assert out.err == err
+
     def test_log_check_detects_deleted_record(self, cli, workshop):
         cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]))
         log_path = workshop["state"] / "audit.log"

@@ -25,6 +25,15 @@ def region():
     return McuRegion(capacity=4096)
 
 
+def applying_region(write: str, **kwargs) -> McuRegion:
+    """A software-lock region where the write channel named write applies:
+    unlocked for el1_write, locked for tamper_test_hook."""
+    region = McuRegion(lock_mode=LockMode.SOFTWARE_LOCK, **kwargs)
+    if write == "tamper_test_hook":
+        region.lock()
+    return region
+
+
 class TestEl1Writes:
     def test_write_before_lock_applies(self, region):
         assert region.el1_write(0, b"hello") is WriteOutcome.APPLIED
@@ -59,34 +68,43 @@ class TestEl1Writes:
         # the history is counted, not kept: its size does not grow with the writes
         assert len(region.attempts) <= 6
 
-    @pytest.mark.parametrize("cause", ["locked", "range"])
-    def test_a_denied_write_is_not_copied(self, cause):
+    # the test hook on a locked hardware-wp region is refused as hardware-wp
+    @pytest.mark.parametrize("write, cause", [
+        ("el1_write", "locked"), ("el1_write", "range"),
+        ("tamper_test_hook", "locked"), ("tamper_test_hook", "range"),
+    ], ids=["locked", "range", "test-hook-hardware-wp", "test-hook-range"])
+    def test_a_denied_write_is_not_copied(self, write, cause):
         data = bytearray(64 << 20)
         calls = []
         region = McuRegion(capacity=len(data) if cause == "locked" else 1024,
                            audit_sink=calls.append)
         if cause == "locked":
             region.lock()
-        outcome, peak = traced_peak(lambda: region.el1_write(0, data))
+        outcome, peak = traced_peak(lambda: getattr(region, write)(0, data))
         assert outcome is WriteOutcome.DENIED
-        assert calls == [f"el1 write denied ({cause}) offset=0 len={len(data)}"]
+        denied = [f"el1 write denied ({cause}) offset=0 len={len(data)}"]
+        assert calls == (denied if write == "el1_write" else [])  # test-hook denials are unaudited
         assert peak < 1 << 20
 
-    def test_an_applied_write_keeps_its_own_copy(self, region):
+    @pytest.mark.parametrize("write", ["el1_write", "tamper_test_hook"])
+    def test_an_applied_write_keeps_its_own_copy(self, write):
+        region = applying_region(write, capacity=4096)
         data = bytearray(b"hello")
-        assert region.el1_write(0, data) is WriteOutcome.APPLIED
+        assert getattr(region, write)(0, data) is WriteOutcome.APPLIED
         data[:] = b"HELLO, world"
         assert region.read() == b"hello"
 
-    def test_an_applied_write_gates_the_length_of_its_copy(self):
+    @pytest.mark.parametrize("write", ["el1_write", "tamper_test_hook"])
+    def test_an_applied_write_gates_the_length_of_its_copy(self, write):
         class Understated(bytearray):  # as a buffer that grows after len() is taken
             def __len__(self):
                 return 1
 
         calls = []
-        region = McuRegion(capacity=8, audit_sink=calls.append)
-        assert region.el1_write(0, Understated(16)) is WriteOutcome.DENIED
-        assert calls == ["el1 write denied (range) offset=0 len=16"]
+        region = applying_region(write, capacity=8, audit_sink=calls.append)
+        assert getattr(region, write)(0, Understated(16)) is WriteOutcome.DENIED
+        assert calls == (["el1 write denied (range) offset=0 len=16"]
+                         if write == "el1_write" else [])
         assert region.read() == b""
 
     @given(st.integers(min_value=0, max_value=120), st.binary(min_size=1, max_size=16))
@@ -204,8 +222,10 @@ class TestSnapshots:
         region.secure_write(b"original")
         snap = region.snapshot()
         assert region.el1_write(0, b"XX") is WriteOutcome.APPLIED
+        assert snap.content == b"original"
         later = region.snapshot()
         assert region.tamper_test_hook(2, b"YY") is WriteOutcome.APPLIED
+        assert later.content == b"XXiginal"
         assert region.read() == b"XXYYinal"
         region.restore(later)
         assert region.read() == b"XXiginal"

@@ -14,7 +14,7 @@ import faarm.mcu
 import faarm.monitor
 from faarm import packaging, state
 from faarm.crypto import Digest, Signature, hash_data, keygen, SignatureScheme
-from faarm.mcu import HookPoint, LockMode, LockState
+from faarm.mcu import HookPoint, LockMode, LockState, WriteOutcome
 from faarm.monitor import (
     EXIT_CODES,
     AuthToken,
@@ -455,6 +455,19 @@ class TestToctouClosure:
         env.monitor.verify_and_lock(env.package(FW, 1))
         denied = [r for r in read_audit(env.store.path) if r.event is AuditEvent.WRITE_DENIED]
         assert len(denied) == 1
+
+    def test_a_region_given_to_a_second_monitor_audits_to_its_store(
+        self, env, ed25519_key, tmp_path
+    ):
+        assert env.monitor.verify_and_lock(env.package(FW, 1)).accepted
+        env.store.close()
+        with SecureStateStore.provision(ed25519_key.public, tmp_path / "second",
+                                        durable=False) as store:
+            faarm.monitor.Monitor(store, env.region, mcu_id=env.monitor.mcu_id)
+            assert env.region.el1_write(0, b"\x66") is WriteOutcome.DENIED
+            assert [r.event for r in read_audit(store.path)] == [
+                AuditEvent.PROVISION, AuditEvent.WRITE_DENIED
+            ]
 
 
 class TestSessionsAndTasks:

@@ -275,6 +275,35 @@ class TestAuditChain:
         )
         assert AuditRecord.from_line(rec.to_line()) == rec
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seq", "1", "seq '1' is not a positive integer"),
+        ("seq", True, "seq True is not a positive integer"),
+        ("seq", 0, "seq 0 is not a positive integer"),
+        ("seq", 1.0, "seq 1.0 is not a positive integer"),
+        ("seq", None, "seq None is not a positive integer"),
+        ("time", 5, "time and prev must be strings"),
+        ("prev", None, "time and prev must be strings"),
+        ("prev", ["ab"], "time and prev must be strings"),
+        ("seq", ..., "'seq'"),  # ... deletes the key
+        ("prev", ..., "'prev'"),
+    ])
+    def test_wrong_typed_or_missing_fields_are_refused(self, field, value, message):
+        obj = {"seq": 1, "time": "2025-01-01T00:00:00.000Z", "event": "PROVISION",
+               "prev": "ab" * 32}
+        obj[field] = value
+        if value is ...:
+            del obj[field]
+        with pytest.raises(StateError) as excinfo:
+            AuditRecord.from_line(json.dumps(obj).encode())
+        assert str(excinfo.value) == f"invalid audit record ({message})"
+
+    def test_a_last_record_with_a_string_seq_fails_the_load(self, store):
+        store.close()
+        log = store.path / "audit.log"
+        log.write_bytes(log.read_bytes().replace(b'{"seq":1,', b'{"seq":"1",'))
+        with pytest.raises(StateError, match="seq '1' is not a positive integer"):
+            SecureStateStore.load(store.path, durable=False)
+
     def test_reader_functions_work_while_writer_open(self, store):
         store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1)
         anchor, nv = read_state(store.path)
