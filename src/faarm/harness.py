@@ -37,7 +37,7 @@ from .mcu import (
     McuRegion,
     WriteOutcome,
 )
-from .monitor import STAGES, Monitor, ScenarioKind, StageTimings, VerifyResult
+from .monitor import STAGES, Monitor, StageTimings, VerifyResult
 from .packaging import (
     DEFAULT_MCU_ID,
     FLAG_REQUIRES_LOCK,
@@ -65,6 +65,16 @@ REFERENCE_LATENCY_MS = {
 
 class HarnessError(Exception):
     pass
+
+
+class ScenarioKind(Enum):
+    """The adversarial scenarios run against the load protocol."""
+
+    SIGNED_GOOD = "signed-good"
+    TAMPER_BEFORE_VERIFY = "tamper-before-verify"
+    TOCTOU_OVERWRITE = "toctou-overwrite"
+    UNSIGNED_LOAD = "unsigned-load"
+    ROLLBACK_LOAD = "rollback-load"
 
 
 class LoaderMode(Enum):

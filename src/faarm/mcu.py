@@ -128,15 +128,18 @@ class McuRegion:
     def secure_write(self, firmware: bytes) -> None:
         """EL3 loader path: replaces the entire image, keeping a bytes argument
         as is rather than copying it. Callers pair this with lock() inside a
-        single exclusive() section."""
-        firmware = bytes(firmware)
+        single exclusive() section. The lock and the length are checked
+        before anything is copied, and the copy's length again after, as
+        _write does, since the caller's buffer may have grown since."""
         with self._mutex:
             if self.lock_state is LockState.LOCKED:
                 raise RegionError("secure write into a locked region")
-            if len(firmware) > self.capacity:
-                raise RegionError(
-                    f"firmware of {len(firmware)} bytes exceeds capacity {self.capacity}"
-                )
+            size = len(firmware)
+            if size <= self.capacity:
+                firmware = bytes(firmware)
+                size = len(firmware)
+            if size > self.capacity:
+                raise RegionError(f"firmware of {size} bytes exceeds capacity {self.capacity}")
             self._content = firmware
             self.attempts[WriteOrigin.EL3_SECURE_LOADER, WriteOutcome.APPLIED] += 1
 

@@ -40,7 +40,7 @@ section, where a real concurrent writer would sit.
 
 from __future__ import annotations
 
-import secrets
+import os
 import threading
 import time
 from enum import Enum
@@ -58,7 +58,7 @@ from .packaging import (
     canonical_bytes,
     read_bundle,
 )
-from .state import AuditEvent, AuditRecord, SecureStateStore, iter_audit_backwards
+from .state import AuditEvent, AuditRecord, SecureStateStore
 
 TASK_ENVELOPE_MAGIC = b"ENC1"
 KNOWN_FLAGS = frozenset({FLAG_REQUIRES_LOCK})  # a manifest flag outside these rejects the load
@@ -87,17 +87,6 @@ class RejectionReason(Enum):
     OVERSIZE = "oversize"
     LOCK_FAILED = "lock-failed"
     MALFORMED_BUNDLE = "malformed-bundle"
-
-
-class ScenarioKind(Enum):
-    """The adversarial scenarios the harness runs against this protocol; kept
-    here so the CLI can offer them without importing the harness."""
-
-    SIGNED_GOOD = "signed-good"
-    TAMPER_BEFORE_VERIFY = "tamper-before-verify"
-    TOCTOU_OVERWRITE = "toctou-overwrite"
-    UNSIGNED_LOAD = "unsigned-load"
-    ROLLBACK_LOAD = "rollback-load"
 
 
 EXIT_SUCCESS = 0
@@ -277,7 +266,7 @@ class Monitor:
 
             self._current_version = version
             self._current_digest = digest
-            self._token = AuthToken(secrets.token_hex(16), version, digest.hex)
+            self._token = AuthToken(os.urandom(16).hex(), version, digest.hex)
             self.phase = Phase.LOADED_LOCKED
             result = VerifyResult(
                 accepted=True, reason=None, detail=None,
@@ -467,22 +456,3 @@ def replay_protocol_invariants(records: Iterable[AuditRecord]) -> tuple[int, int
                 )
     return count, last_version
 
-
-def derive_status(state_dir: str | Path) -> MonitorStatus:
-    """Reconstruct phase/version/digest from the audit log; used by operator
-    tooling, since the emulated region lives only inside a process. Reads
-    backwards to the last VERIFY_ACCEPT, so the cost grows with the records
-    after it, not with the log: a tampered SESSION_RECHECK among them means
-    the device is quarantined."""
-    state_dir = Path(state_dir)
-    if not SecureStateStore.is_provisioned(state_dir):
-        return MonitorStatus(Phase.UNPROVISIONED, None, None)
-    tampered = False
-    for record in iter_audit_backwards(state_dir):
-        if record.event is AuditEvent.VERIFY_ACCEPT:
-            phase = Phase.QUARANTINED if tampered else Phase.LOADED_LOCKED
-            digest = Digest.from_hex(record.digest) if record.digest else None
-            return MonitorStatus(phase, record.version, digest)
-        if record.event is AuditEvent.SESSION_RECHECK and record.detail == "tampered":
-            tampered = True
-    return MonitorStatus(Phase.QUARANTINED if tampered else Phase.IDLE, None, None)

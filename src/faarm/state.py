@@ -27,8 +27,9 @@ crash cut short: it commits a last VERIFY_ACCEPT that is above the counter,
 and cuts off a torn last line, appending a RECOVER record for each repair.
 A failed write or fsync closes the store for good, since what reached the
 disk is then unknown: only a new load() repairs the files and writes again.
-The read-only readers never write: they leave a torn last line out and
-report its length.
+The read-only readers never write: they leave a torn last line out, and
+tools.torn_tail_bytes reports its length. _lines_backwards is the one line
+splitter, which the tail readers in tools share.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import threading
 import time
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -461,35 +461,8 @@ def read_state(path: str | Path) -> tuple[PublicKey, int]:
 def read_audit(path: str | Path) -> list[AuditRecord]:
     """Every whole record of the audit log, oldest first. Bytes after the
     last line end (a torn write, which the next load() cuts off) are left
-    out; torn_tail_bytes() gives their length."""
+    out; tools.torn_tail_bytes() gives their length."""
     return [AuditRecord.from_line(line) for line in _whole_lines(Path(path) / AUDIT_NAME) if line]
-
-
-def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
-    """The last n whole records of the audit log, oldest first, without
-    reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
-    if n <= 0:
-        return []
-    lines = _lines_backwards(Path(path) / AUDIT_NAME)
-    next(lines)  # the torn tail
-    # parsed oldest first, as read_audit parses, so the oldest bad line raises
-    return [AuditRecord.from_line(line) for line in list(islice(filter(None, lines), n))[::-1]]
-
-
-def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
-    """The whole records of the audit log, newest first, read backwards only
-    as far as the caller iterates; a torn tail is left out."""
-    lines = _lines_backwards(Path(path) / AUDIT_NAME)
-    next(lines)  # the torn tail
-    for line in filter(None, lines):
-        yield AuditRecord.from_line(line)
-
-
-def torn_tail_bytes(path: str | Path) -> int:
-    """The length of the unterminated bytes after the last line end of the
-    audit log, which the readers leave out and the next load() cuts off;
-    0 when the log ends in a line end or is missing."""
-    return len(next(_lines_backwards(Path(path) / AUDIT_NAME)))
 
 
 def check_audit_chain(path: str | Path) -> int:

@@ -226,7 +226,7 @@ class TestStatusAndLog:
         assert "VERIFY_ACCEPT" in tail.out
         assert cli("log", "--state", str(workshop["state"]), "-n", "0").out == ""
         full = out.out.splitlines()
-        with mock.patch("faarm.cli.read_audit", side_effect=AssertionError("full read")):
+        with mock.patch("faarm.tools.read_audit", side_effect=AssertionError("full read")):
             tail = cli("log", "--state", str(workshop["state"]), "-n", "2")
             assert tail.out.splitlines() == full[-2:]
             many = cli("log", "--state", str(workshop["state"]), "-n", "99")
@@ -510,6 +510,34 @@ class TestFreshProcess:
     def test_importing_the_cli_loads_no_dataclasses_or_inspect(self):
         loaded = modules_added_by_importing_the_cli()
         assert not {"dataclasses", "inspect"} & loaded
+
+    def test_an_accepting_verify_loads_only_the_load_path(self, workshop, tmp_path):
+        # runs the package as `python -m faarm` does, then lists what it loaded
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "import contextlib, io, json, runpy, sys\n"
+            "before = set(sys.modules)\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    try:\n"
+            "        runpy.run_module('faarm', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exit_info:\n"
+            "        code = exit_info.code\n"
+            "print(json.dumps([code, json.loads(out.getvalue())['accepted'],\n"
+            "                  sorted(set(sys.modules) - before)]))\n"
+        )
+        done = run_fresh(str(probe), "verify", str(workshop["bundle"]),
+                         "--state", str(workshop["state"]), "--json")
+        assert done.returncode == 0, done.stderr
+        code, accepted, loaded = json.loads(done.stdout)
+        assert (code, accepted) == (0, True)
+        assert {name for name in loaded if name.split(".")[0] == "faarm"} == {
+            "faarm", "faarm.cli", "faarm.crypto", "faarm.mcu", "faarm.monitor",
+            "faarm.packaging", "faarm.state",
+        }
+        assert not {"faarm.tools", "faarm.harness", "secrets", "tempfile", "statistics",
+                    "dataclasses", "inspect",
+                    "cryptography.hazmat.primitives.serialization"} & set(loaded)
 
     def test_ecdsa_verify_accepts_without_the_openssl_backend(self, cli, tmp_path):
         # in-process runs cannot see this: sign() loads the backend first

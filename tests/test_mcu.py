@@ -133,6 +133,41 @@ class TestSecureWriteAndLock:
         with pytest.raises(RegionError, match="capacity"):
             region.secure_write(b"\x00" * 4097)
 
+    @pytest.mark.parametrize("cause", ["capacity", "locked"])
+    def test_a_refused_secure_write_is_not_copied(self, cause):
+        data = bytearray(64 << 20)
+        region = McuRegion(capacity=len(data) if cause == "locked" else 1024)
+        if cause == "locked":
+            region.lock()
+
+        def refused():
+            with pytest.raises(RegionError, match=cause):
+                region.secure_write(data)
+
+        _, peak = traced_peak(refused)
+        assert peak < 1 << 20
+        assert region.read() == b""
+
+    def test_secure_write_keeps_its_own_copy_of_a_buffer(self, region):
+        data = bytearray(b"fw image")
+        region.secure_write(data)
+        data[:] = b"scribbled over"
+        assert region.read() == b"fw image"
+
+    def test_secure_write_keeps_a_bytes_image_without_copying(self, region):
+        image = bytes(range(256)) * 4
+        region.secure_write(image)
+        assert region.snapshot().content is image
+
+    def test_secure_write_gates_the_length_of_its_copy(self, region):
+        class Understated(bytearray):  # as a buffer that grows after len() is taken
+            def __len__(self):
+                return 1
+
+        with pytest.raises(RegionError, match="capacity"):
+            region.secure_write(Understated(region.capacity + 1))
+        assert region.read() == b""
+
     def test_lock_records_digest_of_content(self, region):
         region.secure_write(b"fw bytes")
         assert region.lock() is True

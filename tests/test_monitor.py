@@ -23,11 +23,11 @@ from faarm.monitor import (
     Phase,
     RejectionReason,
     ReplayError,
-    derive_status,
     replay_protocol_invariants,
 )
 from faarm.packaging import FLAG_REQUIRES_LOCK, FirmwarePackage, canonical_bytes, write_bundle
 from faarm.state import AuditEvent, SecureStateStore, StateError, check_audit_chain, read_audit
+from faarm.tools import derive_status
 
 from conftest import traced_peak, write_container
 
@@ -71,6 +71,14 @@ class TestAcceptPath:
         assert result.token.version == 1
         assert result.token.digest_hex == hash_data(FW).hex
         assert len(result.token.token_id) == 32
+
+    def test_token_ids_are_random_lowercase_hex(self, env):
+        ids = [env.monitor.verify_and_lock(env.package(FW, v)).token.token_id
+               for v in (1, 2, 3)]
+        for token_id in ids:
+            assert len(token_id) == 32
+            assert set(token_id) <= set("0123456789abcdef")
+        assert len(set(ids)) == 3
 
     def test_audit_shows_lock_then_accept(self, env):
         env.monitor.verify_and_lock(env.package(FW, 1))

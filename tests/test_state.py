@@ -24,9 +24,9 @@ from faarm.state import (
     StateLockError,
     check_audit_chain,
     read_audit,
-    read_audit_tail,
     read_state,
 )
+from faarm.tools import iter_audit_backwards, read_audit_tail, torn_tail_bytes
 
 
 class Boom(RuntimeError):
@@ -915,7 +915,7 @@ class TestTornTailReaders:
         store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="aa" * 32)
         store.append_audit(AuditEvent.TASK_DENY, reason="x")
         records = read_audit(store.path)
-        assert state.torn_tail_bytes(store.path) == 0
+        assert torn_tail_bytes(store.path) == 0
         log = store.path / "audit.log"
         with open(log, "ab") as fh:
             fh.write(self.TORN)
@@ -923,9 +923,9 @@ class TestTornTailReaders:
         assert read_audit(store.path) == records
         assert read_audit_tail(store.path, 1) == records[-1:]
         assert read_audit_tail(store.path, 9) == records
-        assert list(state.iter_audit_backwards(store.path)) == records[::-1]
+        assert list(iter_audit_backwards(store.path)) == records[::-1]
         assert check_audit_chain(store.path) == len(records)
-        assert state.torn_tail_bytes(store.path) == len(self.TORN)
+        assert torn_tail_bytes(store.path) == len(self.TORN)
         assert log.read_bytes() == raw
 
     def test_a_line_longer_than_a_block_is_read_in_doubling_steps(self, tmp_path, monkeypatch):
@@ -941,7 +941,7 @@ class TestTornTailReaders:
 
         monkeypatch.setattr(state, "_TAIL_BLOCK", 16)
         monkeypatch.setattr(state, "open", lambda path, mode: CountingFile(path), raising=False)
-        assert state.torn_tail_bytes(tmp_path) == 100_000
+        assert torn_tail_bytes(tmp_path) == 100_000
         assert len(reads) <= 14 and sum(reads) <= 2 * 100_000
         reads.clear()
         assert list(state._lines_backwards(tmp_path / "audit.log")) == [b"y" * 100_000, b"x" * 10_000]
@@ -949,9 +949,9 @@ class TestTornTailReaders:
 
     def test_missing_log(self, tmp_path):
         assert read_audit(tmp_path) == []
-        assert list(state.iter_audit_backwards(tmp_path)) == []
+        assert list(iter_audit_backwards(tmp_path)) == []
         assert check_audit_chain(tmp_path) == 0
-        assert state.torn_tail_bytes(tmp_path) == 0
+        assert torn_tail_bytes(tmp_path) == 0
 
     @given(TestAuditTail.log_parts, st.booleans(), st.integers(1, 64))
     def test_backwards_reader_matches_a_full_read_at_any_block_size(
@@ -963,8 +963,8 @@ class TestTornTailReaders:
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "audit.log").write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
-                assert state.torn_tail_bytes(tmp) == len(content) - end
+                assert torn_tail_bytes(tmp) == len(content) - end
                 if all(isinstance(body, int) for body, _ in parts):
                     records = read_audit(tmp)
                     assert [r.to_line() for r in records] == whole_lines
-                    assert list(state.iter_audit_backwards(tmp)) == records[::-1]
+                    assert list(iter_audit_backwards(tmp)) == records[::-1]
