@@ -60,7 +60,7 @@ def _state_dir(args: argparse.Namespace) -> Path:
 # -- verify ---------------------------------------------------------------------
 
 
-def _result_json(result, region: McuRegion | None = None) -> dict:
+def _result_json(result, region_dump: dict | None = None) -> dict:
     payload = {
         "accepted": result.accepted,
         "reason": result.reason.value if result.reason else None,
@@ -76,8 +76,8 @@ def _result_json(result, region: McuRegion | None = None) -> dict:
             "version": result.token.version,
             "digest": result.token.digest_hex,
         }
-    if region is not None:
-        payload["region"] = region.dump()
+    if region_dump is not None:
+        payload["region"] = region_dump
     return payload
 
 
@@ -87,10 +87,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         region = McuRegion(capacity=args.capacity, lock_mode=LockMode(args.lock_mode))
         monitor = Monitor(store, region, mcu_id=args.mcu_id)
         result = monitor.verify_bundle(args.bundle)
+        # each dump re-hashes the region, so one serves both outputs
+        dump = region.dump() if args.dump_region or args.json else None
         if args.dump_region:
-            Path(args.dump_region).write_text(json.dumps(region.dump(), indent=2) + "\n")
+            Path(args.dump_region).write_text(json.dumps(dump, indent=2) + "\n")
         if args.json:
-            print(json.dumps(_result_json(result, region), indent=2))
+            print(json.dumps(_result_json(result, dump), indent=2))
         elif result.accepted:
             print(
                 f"SUCCESS: version {result.version} loaded and locked, "

@@ -1,15 +1,17 @@
 """Adversarial scenario harness and latency benchmark.
 
-Five scenarios run under two loader modes: a vulnerable baseline that copies
-firmware into the region with no verification and no lock, and the monitor
-path. Attack success means attacker-controlled bytes ended up in the region
-while the loader reported the firmware usable; for the TOCTOU scenario it
-means a load that was reported verified while the region's final digest
-differs from the verified digest.
+Five scenarios run under two loader modes, BaselineLoader (no verification,
+no lock) and the monitor, through one trial body per scenario: both loaders
+take verify_and_lock(package) and fire the same hook points. Attack success
+means attacker-controlled bytes ended up in the region while the loader
+reported the firmware usable; for the TOCTOU scenario it means a load that
+was reported verified while the region's final digest differs from the
+verified digest.
 
-Every trial runs in a fresh temporary state directory with a MANIFEST-fixed
-device identity and a per-trial RNG derived from (seed, scenario, mode,
-trial index), so a seed reproduces the exact same byte-level inputs.
+Every trial draws its key and inputs from a per-trial RNG derived from
+(seed, scenario, mode, trial index), so a seed reproduces the exact same
+byte-level inputs; a monitor trial runs in a fresh temporary state
+directory with a MANIFEST-fixed device identity.
 """
 
 from __future__ import annotations
@@ -104,8 +106,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise HarnessError("trials must be >= 1")
-        if self.firmware_size < 1:
-            raise HarnessError("firmware_size must be >= 1")
+        if not 1 <= self.firmware_size <= DEFAULT_CAPACITY:
+            raise HarnessError(
+                f"firmware_size must be between 1 and the region capacity {DEFAULT_CAPACITY}"
+            )
 
 
 @dataclass(frozen=True)
@@ -197,25 +201,37 @@ def _flip_one_byte(data: bytes, rng: random.Random) -> bytes:
     return data[:pos] + bytes([new]) + data[pos + 1 :]
 
 
-@dataclass
-class _Env:
-    key: KeyPair
-    store: SecureStateStore
-    region: McuRegion
-    monitor: Monitor
+class BaselineLoader:
+    """The vulnerable loader the monitor is measured against, behind the
+    monitor's region attribute and verify_and_lock interface: it fires the
+    same hook points, copies every image into the region over the EL1
+    channel with no verification and no lock, and reports every load
+    accepted. The POST_LOCK hooks fire after the write, so a TOCTOU marker
+    written there always lands."""
+
+    def __init__(self, region: McuRegion):
+        self.region = region
+
+    def verify_and_lock(self, package: FirmwarePackage) -> VerifyResult:
+        t_total = time.perf_counter()
+        image = bytes(package.firmware)
+        self.region.fire(HookPoint.PRE_VERIFY)
+        self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
+        if self.region.el1_write(0, image) is not WriteOutcome.APPLIED:
+            raise HarnessError("baseline load failed to apply")
+        # it neither verifies nor locks: its whole load is the total
+        timings = StageTimings(0.0, 0.0, (time.perf_counter() - t_total) * 1000.0)
+        result = VerifyResult(
+            accepted=True, reason=None, detail=None, version=package.manifest.version,
+            digest=hash_data(image), token=None, timings=timings,
+        )
+        self.region.fire(HookPoint.POST_LOCK)
+        return result
 
 
-def _make_env(scenario: Scenario, rng: random.Random, state_dir: Path) -> _Env:
-    key = keygen(scenario.scheme, seed=rng.getrandbits(64), allow_seeded=True)
-    store = SecureStateStore.provision(key.public, state_dir, durable=False)
-    region = McuRegion(capacity=DEFAULT_CAPACITY, lock_mode=scenario.lock_mode)
-    monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
-    return _Env(key, store, region, monitor)
-
-
-def _build(env: _Env, fw: bytes, version: int) -> FirmwarePackage:
+def _build(key: KeyPair, fw: bytes, version: int) -> FirmwarePackage:
     return build_package(
-        fw, version=version, mcu_id=DEFAULT_MCU_ID, key=env.key,
+        fw, version=version, mcu_id=DEFAULT_MCU_ID, key=key,
         timestamp=HARNESS_TIMESTAMP,
     )
 
@@ -243,144 +259,100 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 def _run_trial(
     scenario: Scenario, index: int, rng: random.Random, state_dir: Path
 ) -> tuple[TrialRecord, Counter]:
+    key = keygen(scenario.scheme, seed=rng.getrandbits(64), allow_seeded=True)
+    region = McuRegion(capacity=DEFAULT_CAPACITY, lock_mode=scenario.lock_mode)
     if scenario.mode is LoaderMode.BASELINE:
-        return _run_baseline_trial(scenario, index, rng), Counter()
-    env = _make_env(scenario, rng, state_dir)
+        return _attack(scenario, index, rng, key, BaselineLoader(region)), Counter()
+    store = SecureStateStore.provision(key.public, state_dir, durable=False)
     try:
-        record = _run_faarm_trial(scenario, index, rng, env)
+        monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
+        record = _attack(scenario, index, rng, key, monitor)
     finally:
-        env.store.close()
+        store.close()
     events = Counter(r.event.value for r in read_audit(state_dir))
     return record, events
 
 
-def _run_baseline_trial(scenario: Scenario, index: int, rng: random.Random) -> TrialRecord:
-    region = McuRegion(capacity=DEFAULT_CAPACITY, lock_mode=scenario.lock_mode)
-    fw = rng.randbytes(scenario.firmware_size)
-    kind = scenario.kind
-
-    def load(image: bytes) -> float:
-        t0 = time.perf_counter()
-        outcome = region.el1_write(0, image)
-        if outcome is not WriteOutcome.APPLIED:
-            raise HarnessError("baseline load failed to apply")
-        return (time.perf_counter() - t0) * 1000.0
-
-    legit = success = None
-    if kind is ScenarioKind.SIGNED_GOOD:
-        total = load(fw)
-        legit = region.digest() == hash_data(fw)
-    elif kind is ScenarioKind.TAMPER_BEFORE_VERIFY:
-        tampered = _flip_one_byte(fw, rng)
-        total = load(tampered)
-        success = region.digest() == hash_data(tampered)
-    elif kind is ScenarioKind.UNSIGNED_LOAD:
-        attacker = rng.randbytes(scenario.firmware_size)
-        total = load(attacker)
-        success = region.digest() == hash_data(attacker)
-    elif kind is ScenarioKind.ROLLBACK_LOAD:
-        old = rng.randbytes(scenario.firmware_size)
-        load(fw)
-        total = load(old)  # the replayed stale image goes straight in
-        success = region.digest() == hash_data(old)
-    elif kind is ScenarioKind.TOCTOU_OVERWRITE:
-        total = load(fw)
-        overwrite = rng.randbytes(min(64, scenario.firmware_size))
-        outcome = region.el1_write(0, overwrite)
-        success = (
-            outcome is WriteOutcome.APPLIED and region.digest() != hash_data(fw)
-        )
-    else:  # pragma: no cover
-        raise HarnessError(f"unhandled scenario kind {kind}")
-    # the baseline neither verifies nor locks: its whole load is the total
-    return TrialRecord(index, success, legit, None, StageTimings(0.0, 0.0, total))
-
-
-def _run_faarm_trial(
-    scenario: Scenario, index: int, rng: random.Random, env: _Env
+def _attack(
+    scenario: Scenario,
+    index: int,
+    rng: random.Random,
+    key: KeyPair,
+    loader: BaselineLoader | Monitor,
 ) -> TrialRecord:
+    """One trial of the scenario against either loader: attack is whether
+    attacker-controlled bytes ended up in the region of a load the loader
+    accepted, legit whether a genuine image loaded intact."""
     kind = scenario.kind
+    region = loader.region
     fw = rng.randbytes(scenario.firmware_size)
+    attack = legit = None
 
     if kind is ScenarioKind.SIGNED_GOOD:
-        result = env.monitor.verify_and_lock(_build(env, fw, 1))
-        ok = (
+        result = loader.verify_and_lock(_build(key, fw, 1))
+        legit = (
             result.accepted
             and result.digest is not None
-            and env.region.digest() == result.digest
+            and region.digest() == result.digest
         )
-        return _record(index, attack=None, legit=ok, result=result)
 
-    if kind is ScenarioKind.TAMPER_BEFORE_VERIFY:
-        package = _build(env, fw, 1)
+    elif kind is ScenarioKind.TAMPER_BEFORE_VERIFY:
+        package = _build(key, fw, 1)
         tampered = _flip_one_byte(fw, rng)
         adversarial = FirmwarePackage(tampered, package.manifest, package.signature)
-        result = env.monitor.verify_and_lock(adversarial)
-        success = result.accepted and env.region.digest() == hash_data(tampered)
-        return _record(index, attack=success, legit=None, result=result)
+        result = loader.verify_and_lock(adversarial)
+        attack = result.accepted and region.digest() == hash_data(tampered)
 
-    if kind is ScenarioKind.UNSIGNED_LOAD:
+    elif kind is ScenarioKind.UNSIGNED_LOAD:
         attacker = rng.randbytes(scenario.firmware_size)
         manifest = Manifest(
             version=1, mcu_id=DEFAULT_MCU_ID, timestamp=HARNESS_TIMESTAMP,
             firmware_hash=hash_data(attacker), flags=(FLAG_REQUIRES_LOCK,),
         )
         forged = FirmwarePackage(attacker, manifest, Signature(bytes(64)))
-        result = env.monitor.verify_and_lock(forged)
-        success = result.accepted and env.region.digest() == hash_data(attacker)
-        return _record(index, attack=success, legit=None, result=result)
+        result = loader.verify_and_lock(forged)
+        attack = result.accepted and region.digest() == hash_data(attacker)
 
-    if kind is ScenarioKind.ROLLBACK_LOAD:
+    elif kind is ScenarioKind.ROLLBACK_LOAD:
         stale = rng.randbytes(scenario.firmware_size)
-        setup = env.monitor.verify_and_lock(_build(env, fw, 3))
+        setup = loader.verify_and_lock(_build(key, fw, 3))
         if not setup.accepted:
             raise HarnessError(f"rollback setup load rejected: {setup.reason}")
-        result = env.monitor.verify_and_lock(_build(env, stale, 2))
-        success = result.accepted and env.region.digest() == hash_data(stale)
-        return _record(index, attack=success, legit=None, result=result)
+        result = loader.verify_and_lock(_build(key, stale, 2))
+        attack = result.accepted and region.digest() == hash_data(stale)
 
-    if kind is ScenarioKind.TOCTOU_OVERWRITE:
-        package = _build(env, fw, 1)
+    elif kind is ScenarioKind.TOCTOU_OVERWRITE:
+        package = _build(key, fw, 1)
         marker = rng.randbytes(min(64, scenario.firmware_size))
         for point in HookPoint:
-            env.region.add_hook(point, lambda m=marker: env.region.el1_write(0, m))
+            region.add_hook(point, lambda m=marker: region.el1_write(0, m))
         adv_rng = random.Random(rng.getrandbits(64))
         stop = threading.Event()
 
         def adversary() -> None:
             while not stop.is_set():
                 offset = adv_rng.randrange(scenario.firmware_size)
-                env.region.el1_write(offset, adv_rng.randbytes(16))
+                region.el1_write(offset, adv_rng.randbytes(16))
 
         thread = threading.Thread(target=adversary, name=f"toctou-adv-{index}")
         thread.start()
         try:
-            result = env.monitor.verify_and_lock(package)
+            result = loader.verify_and_lock(package)
         finally:
             stop.set()
             thread.join(timeout=10.0)
         if thread.is_alive():  # pragma: no cover - defensive
             raise HarnessError("adversary thread failed to stop")
-        success = (
+        attack = (
             result.accepted
             and result.digest is not None
-            and env.region.digest() != result.digest
+            and region.digest() != result.digest
         )
-        return _record(index, attack=success, legit=None, result=result)
 
-    raise HarnessError(f"unhandled scenario kind {kind}")  # pragma: no cover
-
-
-def _record(
-    index: int, *, attack: bool | None, legit: bool | None, result: VerifyResult
-) -> TrialRecord:
-    return TrialRecord(
-        index=index,
-        attack_success=attack,
-        legitimate_success=legit,
-        reason=result.reason.value if result.reason else None,
-        timings=result.timings,
-    )
+    else:  # pragma: no cover
+        raise HarnessError(f"unhandled scenario kind {kind}")
+    reason = result.reason.value if result.reason else None
+    return TrialRecord(index, attack, legit, reason, result.timings)
 
 
 def _reconcile_with_audit(report: ScenarioReport) -> None:
@@ -391,10 +363,15 @@ def _reconcile_with_audit(report: ScenarioReport) -> None:
     kind = report.scenario.kind
     accepts = counts.get(AuditEvent.VERIFY_ACCEPT.value, 0)
     rejects = counts.get(AuditEvent.VERIFY_REJECT.value, 0)
+    rejected = sum(1 for t in report.trials if t.reason is not None)
+    if rejects != rejected:
+        raise HarnessError(
+            f"{kind.value}: audit shows {rejects} rejects, report has {rejected} rejected trials"
+        )
     if kind is ScenarioKind.SIGNED_GOOD:
         expected_accepts = report.legitimate_success_count
     elif kind is ScenarioKind.TOCTOU_OVERWRITE:
-        expected_accepts = sum(1 for t in report.trials if t.reason is None)
+        expected_accepts = len(report.trials) - rejected
     else:
         blocked = report.blocked_count
         if rejects != blocked:
@@ -502,10 +479,9 @@ def run_bench(
                 capacity=max(DEFAULT_CAPACITY, firmware_size), lock_mode=lock_mode
             )
             monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
-            env = _Env(key, store, region, monitor)
             for run in range(warmup + runs):
                 fw = rng.randbytes(firmware_size)
-                result = monitor.verify_and_lock(_build(env, fw, run + 1))
+                result = monitor.verify_and_lock(_build(key, fw, run + 1))
                 if not result.accepted:
                     raise HarnessError(f"bench load rejected: {result.reason}")
                 if run >= warmup:
@@ -618,6 +594,8 @@ def render_matrix(reports: Sequence[ScenarioReport]) -> str:
             n = len(r.trials)
             if kind is ScenarioKind.SIGNED_GOOD:
                 return f"legit {r.legitimate_success_count}/{n}"
+            if not n:  # every trial was an infrastructure failure
+                return "0/0"
             return f"{r.attack_success_count}/{n} ({100.0 * r.attack_success_count / n:.0f}%)"
 
         line((kind.value, rate(baseline), rate(faarm)))

@@ -9,7 +9,10 @@ from unittest import mock
 
 import pytest
 
+import faarm.mcu
+import faarm.monitor
 from faarm import harness
+from faarm.crypto import hash_data
 from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
 from faarm.state import AuditEvent, AuditRecord, SecureStateStore, read_audit
 
@@ -171,6 +174,23 @@ class TestSignVerify:
             "--dump-region", str(dump))
         payload = json.loads(dump.read_text())
         assert payload["lock_state"] == "locked"
+
+    def test_json_with_a_region_dump_hashes_the_region_once(self, cli, workshop, tmp_path,
+                                                            monkeypatch):
+        hashed = []
+
+        def counting_hash(data):
+            hashed.append(len(data))
+            return hash_data(data)
+
+        monkeypatch.setattr(faarm.monitor, "hash_data", counting_hash)
+        monkeypatch.setattr(faarm.mcu, "hash_data", counting_hash)
+        dump = tmp_path / "region.json"
+        out = cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]),
+                  "--dump-region", str(dump), "--json")
+        # the load's own hash, and one region dump for both outputs
+        assert hashed == [len(FW)] * 2
+        assert json.loads(out.out)["region"] == json.loads(dump.read_text())
 
     def test_state_dir_from_environment(self, cli, workshop, monkeypatch):
         monkeypatch.setenv(STATE_ENV_VAR, str(workshop["state"]))
@@ -392,6 +412,21 @@ class TestAttackAndBench:
         out = cli("attack", "--scenario", "signed-good", "--mode", "faarm",
                   "--trials", "1", "--firmware-size", "1KiB")
         assert "signed-good" in out.out
+
+    def test_attack_image_over_the_region_capacity_is_a_usage_error(self, cli):
+        out = cli("attack", "--firmware-size", "5MiB", "--trials", "1", expect=2)
+        assert out.err.startswith("error: firmware_size")
+
+    def test_monitor_failing_a_genuine_load_exits_1(self, cli, monkeypatch):
+        def fail(self, digest=None):
+            raise faarm.mcu.LockEngageError("region lock did not engage")
+
+        monkeypatch.setattr(faarm.mcu.McuRegion, "lock", fail)
+        out = cli("attack", "--scenario", "signed-good", "--mode", "faarm",
+                  "--trials", "2", "--firmware-size", "1KiB", "--json", expect=1)
+        (row,) = json.loads(out.out)["scenarios"]
+        assert row["legitimate_success_count"] == 0
+        assert row["reasons"] == {"lock-failed": 2}
 
     def test_bench_json_smoke(self, cli, tmp_path):
         csv_path = tmp_path / "bench.csv"

@@ -7,15 +7,20 @@ from pathlib import Path
 
 import pytest
 
+from faarm.crypto import SignatureScheme, hash_data, keygen
 from faarm.harness import (
     ADVERSARIAL_KINDS,
     ALL_KINDS,
+    DEFAULT_CAPACITY,
     DEFAULT_NOMINAL_INIT_MS,
     REFERENCE_LATENCY_MS,
+    BaselineLoader,
     HarnessError,
     LoaderMode,
     Scenario,
     ScenarioKind,
+    ScenarioReport,
+    _build,
     _reconcile_with_audit,
     _trial_seed,
     bench_csv,
@@ -28,6 +33,7 @@ from faarm.harness import (
     run_matrix,
     run_scenario,
 )
+from faarm.mcu import HookPoint, LockMode, McuRegion
 
 TRIALS = 4
 
@@ -68,11 +74,46 @@ class TestScenarioValidation:
         with pytest.raises(HarnessError):
             Scenario(kind=ScenarioKind.SIGNED_GOOD, mode=LoaderMode.FAARM, firmware_size=0)
 
+    @pytest.mark.parametrize("mode", LoaderMode, ids=lambda m: m.value)
+    def test_image_over_the_region_capacity_rejected(self, mode):
+        # every trial would fail: the baseline's write is refused, the monitor rejects
+        with pytest.raises(HarnessError, match="capacity"):
+            Scenario(kind=ScenarioKind.SIGNED_GOOD, mode=mode,
+                     firmware_size=DEFAULT_CAPACITY + 1)
+
+
+class TestBaselineLoader:
+    KEY = keygen(SignatureScheme.ED25519, seed=3, allow_seeded=True)
+
+    def test_accepts_and_reports_the_bytes_written(self):
+        loader = BaselineLoader(McuRegion())
+        result = loader.verify_and_lock(_build(self.KEY, b"fw" * 100, 7))
+        assert result.accepted and result.reason is None and result.token is None
+        assert result.version == 7
+        assert result.digest == hash_data(b"fw" * 100) == loader.region.digest()
+        assert result.timings.verify_ms == result.timings.lock_ms == 0.0
+
+    def test_fires_every_hook_point_and_a_post_lock_write_lands(self):
+        region = McuRegion()
+        fired = []
+        for point in HookPoint:
+            region.add_hook(point, lambda p=point: fired.append(p))
+        region.add_hook(HookPoint.POST_LOCK, lambda: region.el1_write(0, b"XX"))
+        result = BaselineLoader(region).verify_and_lock(_build(self.KEY, b"fw" * 100, 1))
+        assert fired == list(HookPoint)
+        assert region.read(0, 2) == b"XX" and region.digest() != result.digest
+
+    def test_a_refused_write_is_an_error(self):
+        region = McuRegion(capacity=16)
+        with pytest.raises(HarnessError, match="failed to apply"):
+            BaselineLoader(region).verify_and_lock(_build(self.KEY, bytes(17), 1))
+
 
 class TestBaselineMode:
+    @pytest.mark.parametrize("lock_mode", LockMode, ids=lambda m: m.value)
     @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS, ids=lambda k: k.value)
-    def test_every_attack_succeeds_against_baseline(self, kind):
-        report = run(kind, LoaderMode.BASELINE)
+    def test_every_attack_succeeds_against_baseline(self, kind, lock_mode):
+        report = run(kind, LoaderMode.BASELINE, lock_mode=lock_mode)
         assert report.attack_success_count == TRIALS
         assert report.infra_failures == []
 
@@ -130,6 +171,12 @@ class TestReconciliation:
         with pytest.raises(HarnessError, match="rejects"):
             _reconcile_with_audit(report)
 
+    def test_doctored_reject_count_on_signed_good_is_caught(self):
+        report = run(ScenarioKind.SIGNED_GOOD, LoaderMode.FAARM)
+        report.audit_counts["VERIFY_REJECT"] = 1
+        with pytest.raises(HarnessError, match="rejects"):
+            _reconcile_with_audit(report)
+
     def test_baseline_reports_skip_reconciliation(self):
         report = run(ScenarioKind.UNSIGNED_LOAD, LoaderMode.BASELINE)
         report.audit_counts["VERIFY_ACCEPT"] = 999
@@ -183,6 +230,12 @@ class TestMatrix:
         for kind in ALL_KINDS:
             assert kind.value in text
         assert "baseline" in text and "faarm" in text
+
+    def test_a_cell_without_completed_trials_renders(self):
+        scenario = Scenario(kind=ScenarioKind.UNSIGNED_LOAD, mode=LoaderMode.BASELINE)
+        report = ScenarioReport(scenario, [], {}, ["trial 0: OSError: boom"])
+        text = render_matrix([report])
+        assert "attack succeeds (0/0)" in text and "trial 0: OSError: boom" in text
 
     def test_reports_json_shape(self):
         reports = run_matrix(kinds=(ScenarioKind.SIGNED_GOOD,), trials=2, firmware_size=512)
