@@ -76,6 +76,12 @@ class HookPoint(Enum):
     POST_LOCK = "post-lock"
 
 
+# the write path reads its members here: in Python 3.11 an Enum class attribute
+# goes through EnumType.__getattr__, four times a plain lookup, on every write
+_EL1, _APPLIED, _DENIED = WriteOrigin.EL1, WriteOutcome.APPLIED, WriteOutcome.DENIED
+_LOCKED, _HARDWARE_WP = LockState.LOCKED, LockMode.HARDWARE_WP
+
+
 class RegionSnapshot(NamedTuple):
     content: bytes
     lock_state: LockState
@@ -123,7 +129,7 @@ class McuRegion:
 
     def el1_write(self, offset: int, data: bytes) -> WriteOutcome:
         """Normal-world write: applied only while unlocked and in range."""
-        return self._write(WriteOrigin.EL1, offset, data)
+        return self._write(_EL1, offset, data)
 
     def secure_write(self, firmware: bytes) -> None:
         """EL3 loader path: replaces the entire image, keeping a bytes argument
@@ -249,13 +255,11 @@ class McuRegion:
         EL1 in either lock mode, the test hook only under hardware
         write-protect. Only an applied write copies data, and it gates the
         copy's length again, since the caller's buffer may have grown since."""
-        el1 = origin is WriteOrigin.EL1
+        el1 = origin is _EL1
         with self._mutex:
             if offset < 0 or offset + len(data) > self.capacity:
                 cause = "range"
-            elif self.lock_state is LockState.LOCKED and (
-                el1 or self.lock_mode is LockMode.HARDWARE_WP
-            ):
+            elif self.lock_state is _LOCKED and (el1 or self.lock_mode is _HARDWARE_WP):
                 cause = "locked"
             else:
                 data = bytes(data)
@@ -263,10 +267,10 @@ class McuRegion:
                 if end <= self.capacity:
                     content = self._content
                     self._content = content[:offset].ljust(offset, b"\x00") + data + content[end:]
-                    self.attempts[origin, WriteOutcome.APPLIED] += 1
-                    return WriteOutcome.APPLIED
+                    self.attempts[origin, _APPLIED] += 1
+                    return _APPLIED
                 cause = "range"
-            self.attempts[origin, WriteOutcome.DENIED] += 1
+            self.attempts[origin, _DENIED] += 1
             if el1 and self.audit_sink is not None:
                 self.audit_sink(f"el1 write denied ({cause}) offset={offset} len={len(data)}")
-            return WriteOutcome.DENIED
+            return _DENIED

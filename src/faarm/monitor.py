@@ -62,6 +62,7 @@ from .state import AuditEvent, AuditRecord, SecureStateStore
 
 TASK_ENVELOPE_MAGIC = b"ENC1"
 KNOWN_FLAGS = frozenset({FLAG_REQUIRES_LOCK})  # a manifest flag outside these rejects the load
+_WRITE_DENIED = AuditEvent.WRITE_DENIED  # read per denied write; see mcu._EL1
 
 
 class MonitorError(Exception):
@@ -175,7 +176,7 @@ class Monitor:
         region.audit_sink = self._denied_write_sink
 
     def _denied_write_sink(self, detail: str) -> None:
-        self.store.append_audit(AuditEvent.WRITE_DENIED, detail=detail)
+        self.store.append_audit(_WRITE_DENIED, detail=detail)
 
     # -- the load protocol -----------------------------------------------------
 

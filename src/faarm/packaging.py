@@ -267,13 +267,11 @@ def read_bundle(path: str | Path, *, max_firmware: int = DEFAULT_CAPACITY) -> Fi
         dir_fd = -1
     if dir_fd >= 0:
         firmware_size, firmware, manifest, signature = _read_directory(dir_fd, max_firmware)
-    elif os.path.isfile(path):
+    else:
         (firmware_size, firmware), manifest_part, signature_part = _read_container(
             path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
         )
         manifest, signature = _parse_parts(manifest_part, signature_part)
-    else:
-        raise BundleError("bundle", f"no such bundle: {Path(path)}")
     if firmware_size > max_firmware:
         raise ImageTooLarge(firmware_size, max_firmware, manifest)
     return FirmwarePackage(firmware, manifest, signature)
@@ -346,13 +344,22 @@ def _read_file(fd: int, size: int, limit: int) -> tuple[int, bytes]:
 
 def _read_container(path: Path, limits: tuple[int, int, int]) -> list[tuple[int, bytes]]:
     """(size, body) of each of the three sections of a .pkg container, each
-    body read straight from the file so the image is held once. Every length
-    header is checked against the bytes left in the file before its section
-    is read; a section over its limit is then skipped unread (body b"", size
+    body read straight from the file so the image is held once. The path is
+    opened once, with O_NONBLOCK, and a FIFO or other non-regular file fails
+    the fstat check, as a part in _read_directory does. Every length header
+    is checked against the bytes left in the file before its section is
+    read; a section over its limit is then skipped unread (body b"", size
     from the header), which keeps the later sections' checks ahead of the
     size checks."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        raise BundleError("bundle", f"no such bundle: {Path(path)}") from None
+    with open(fd, "rb") as fh:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise BundleError("bundle", f"no such bundle: {Path(path)}")
+        size = st.st_size
         if fh.read(len(PKG_MAGIC)) != PKG_MAGIC:
             raise BundleError("container", "bad magic; not a firmware package container")
         offset = len(PKG_MAGIC)

@@ -28,8 +28,8 @@ and cuts off a torn last line, appending a RECOVER record for each repair.
 A failed write or fsync closes the store for good, since what reached the
 disk is then unknown: only a new load() repairs the files and writes again.
 The read-only readers never write: they leave a torn last line out, and
-tools.torn_tail_bytes reports its length. _lines_backwards is the one line
-splitter, which the tail readers in tools share.
+tools.torn_tail_bytes reports its length. _lines_backwards, which the tail
+readers in tools share, and _lines_forwards split lines as splitlines() does.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import threading
 import time
 from datetime import datetime, timezone
 from enum import Enum
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring as _quote  # json's own C string quoting
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -54,7 +54,7 @@ COUNTER_NAME = "counter"
 AUDIT_NAME = "audit.log"
 LOCK_NAME = "lock"
 GENESIS_HASH = "0" * 64
-_TAIL_BLOCK = 64 * 1024  # bytes per step when reading the audit log backwards
+_TAIL_BLOCK = 64 * 1024  # bytes per step when reading the audit log, either way
 _SLOT_SIZE = 64  # bytes per counter slot; the counter file holds two
 _SLOT_DIGITS = 20
 _CHECK_HEX = _SLOT_SIZE - _SLOT_DIGITS - 2  # what the space and the line end leave
@@ -147,32 +147,30 @@ def _record_line(seq, time_, event, version, reason, digest, detail, prev) -> by
     the bytes of json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
     encoded as UTF-8, where obj holds seq, time and event, then each of
     version, reason, digest and detail that is not None, then prev.
-    Assembled directly, since json.dumps builds a new encoder on every call.
+    Assembled directly, since json.dumps builds a new encoder on every call;
+    an int or str field is written here and only others go through _json.
     append_audit writes its line from its arguments through this, and
     AuditRecord.to_line gives a record's line through it."""
     # an event's value is a plain name that JSON quotes as it is; _value_ is
     # what Enum's value property returns, read without that call
-    line = f'{{"seq":{_json(seq)},"time":{_json(time_)},"event":"{event._value_}"'
+    line = (f'{{"seq":{seq if type(seq) is int else _json(seq)},"time":'
+            f'{_quote(time_) if type(time_) is str else _json(time_)},"event":"{event._value_}"')
     if version is not None:
-        line += f',"version":{_json(version)}'
+        line += f',"version":{version if type(version) is int else _json(version)}'
     if reason is not None:
-        line += f',"reason":{_json(reason)}'
+        line += f',"reason":{_quote(reason) if type(reason) is str else _json(reason)}'
     if digest is not None:
-        line += f',"digest":{_json(digest)}'
+        line += f',"digest":{_quote(digest) if type(digest) is str else _json(digest)}'
     if detail is not None:
-        line += f',"detail":{_json(detail)}'
-    return f'{line},"prev":{_json(prev)}}}'.encode("utf-8")
+        line += f',"detail":{_quote(detail) if type(detail) is str else _json(detail)}'
+    prev = _quote(prev) if type(prev) is str else _json(prev)
+    return f'{line},"prev":{prev}}}'.encode("utf-8")
 
 
 def _json(value) -> str:
     """value as json.dumps(value, ensure_ascii=False) writes it inside a
-    compact object: str and int directly, anything else (a bool, or whatever
-    load() copied from a hand-edited line) through json itself."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is int:
-        return int.__repr__(value)
+    compact object, for a field that is not an int or str: a bool, or
+    whatever load() copied from a hand-edited line."""
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -315,7 +313,8 @@ class SecureStateStore:
         committed counter (and within the MAX_COUNTER a slot holds). Never
         mutates; raises StateError on a closed store, whose counter may be
         behind what the files hold."""
-        self._assert_open()
+        if self._closed is not None:
+            raise StateError(self._closed)
         return isinstance(candidate, int) and self._nv < candidate <= MAX_COUNTER
 
     def commit_version(self, version: int) -> None:
@@ -351,9 +350,12 @@ class SecureStateStore:
         detail: str | None = None,
     ) -> AuditRecord:
         """Append one record to the hash chain in one write before returning
-        (write-ahead: callers report completion only afterwards)."""
+        (write-ahead: callers report completion only afterwards). Each
+        denied EL1 write calls this, so the closed check and the chain hash
+        are inline."""
         with self._mutex:
-            self._assert_open()
+            if self._closed is not None:
+                raise StateError(self._closed)
             seq = self._last_seq + 1
             time_ = _now()
             prev = self._last_hash
@@ -363,10 +365,11 @@ class SecureStateStore:
                 self.crash_hook(f"audit:pre:{event.value}")
             self._write(self._audit_fd, AUDIT_NAME, line + b"\n")
             self._last_seq = seq
-            self._last_hash = _line_hash(line)
+            self._last_hash = hashlib.sha256(line).hexdigest()
             if self.crash_hook is not None:
                 self.crash_hook(f"audit:post:{event.value}")
-            return AuditRecord(seq, time_, event, version, reason, digest, detail, prev)
+            fields = seq, time_, event, version, reason, digest, detail, prev
+            return tuple.__new__(AuditRecord, fields)  # AuditRecord._make without its frame
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -378,10 +381,6 @@ class SecureStateStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _assert_open(self) -> None:
-        if self._closed is not None:
-            raise StateError(self._closed)
 
     def _shut(self, why: str) -> None:
         """Close the files without another write and release the writer
@@ -462,7 +461,7 @@ def read_audit(path: str | Path) -> list[AuditRecord]:
     """Every whole record of the audit log, oldest first. Bytes after the
     last line end (a torn write, which the next load() cuts off) are left
     out; tools.torn_tail_bytes() gives their length."""
-    return [AuditRecord.from_line(line) for line in _whole_lines(Path(path) / AUDIT_NAME) if line]
+    return [AuditRecord.from_line(line) for line in _lines_forwards(Path(path) / AUDIT_NAME) if line]
 
 
 def check_audit_chain(path: str | Path) -> int:
@@ -478,7 +477,7 @@ def walk_audit_chain(path: str | Path) -> Iterator[AuditRecord]:
     first broken link, gap, or malformed line. One pass reads and parses
     each line once, so a caller can check the records as they come."""
     prev_hash = GENESIS_HASH
-    for line_no, line in enumerate(_whole_lines(Path(path) / AUDIT_NAME), start=1):
+    for line_no, line in enumerate(_lines_forwards(Path(path) / AUDIT_NAME), start=1):
         if not line:
             raise AuditChainError(line_no, "blank line inside the log")
         try:
@@ -587,12 +586,23 @@ def _scan_audit_tail(audit_path: Path) -> tuple[AuditRecord | None, str, int]:
     return AuditRecord.from_line(line), _line_hash(line), torn
 
 
-def _whole_lines(audit_path: Path) -> list[bytes]:
-    """All lines of the audit log that end in a line end, blank ones
-    included, oldest first. Reads the whole log."""
-    lines = _lines_backwards(audit_path)
-    next(lines)  # the torn tail
-    return list(lines)[::-1]
+def _lines_forwards(audit_path: Path) -> Iterator[bytes]:
+    """The lines of _lines_backwards after the torn tail, oldest first, read
+    forwards in blocks, so memory grows with a block and the longest line,
+    not with the log. A block's last line is carried into the next block,
+    since a CR at its end may be followed by an LF there."""
+    if not audit_path.exists():
+        return
+    with open(audit_path, "rb") as fh:
+        step, carry = _TAIL_BLOCK, b""
+        while block := fh.read(step):
+            *lines, carry = (carry + block).splitlines(keepends=True)
+            if not lines:  # all one line so far: doubling keeps the re-splits linear
+                step *= 2
+            for line in lines:
+                yield line.rstrip(b"\r\n")
+    if carry.endswith((b"\n", b"\r")):  # otherwise carry is the torn tail
+        yield carry.rstrip(b"\r\n")
 
 
 def _lines_backwards(audit_path: Path) -> Iterator[bytes]:

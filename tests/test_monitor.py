@@ -792,6 +792,46 @@ class TestFailStop:
                 store.close()
 
 
+class TestDeniedWritePath:
+    """What the per-denial path must keep however it is streamlined."""
+
+    def test_one_denied_write_is_one_write_of_one_line(self, env, monkeypatch):
+        assert env.monitor.verify_and_lock(env.package(FW, 1)).accepted
+        log = env.store.path / "audit.log"
+        before = log.read_bytes()
+        writes = []
+
+        class CountingOs:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def write(self, fd, data):
+                writes.append(bytes(data))
+                return os.write(fd, data)
+
+        monkeypatch.setattr(state, "os", CountingOs())
+        assert env.region.el1_write(5, b"\x66" * 16) is WriteOutcome.DENIED
+        assert len(writes) == 1
+        assert writes[0] == log.read_bytes()[len(before):]
+        assert writes[0].count(b"\n") == 1 and writes[0].endswith(b"\n")
+        record = state.AuditRecord.from_line(writes[0][:-1])
+        assert (record.event, record.detail) == (
+            AuditEvent.WRITE_DENIED, "el1 write denied (locked) offset=5 len=16"
+        )
+
+    @pytest.mark.parametrize("event", list(AuditEvent), ids=lambda e: e.value)
+    def test_an_appended_record_is_the_written_line(self, env, event):
+        log = env.store.path / "audit.log"
+        before = log.read_bytes()
+        record = env.store.append_audit(
+            event, version=3, reason="r", digest="ab" * 32, detail='d"\\'
+        )
+        line = log.read_bytes()[len(before):]
+        assert type(record) is state.AuditRecord
+        assert record == state.AuditRecord.from_line(line.rstrip(b"\n"))
+        assert record.to_line() + b"\n" == line
+
+
 class TestExitCodes:
     def test_exit_code_table(self):
         assert EXIT_CODES[RejectionReason.BAD_SIGNATURE] == 10

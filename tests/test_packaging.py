@@ -442,7 +442,7 @@ class TestBundles:
             read_bundle(tmp_path / "nope")
 
     def test_a_fifo_at_the_bundle_path_is_no_bundle(self, tmp_path):
-        # refused without opening it: a read open of a FIFO blocks until a writer comes
+        # refused without blocking: a plain read open of a FIFO blocks until a writer comes
         path = tmp_path / "bundle"
         os.mkfifo(path)
         errors = []
@@ -459,6 +459,29 @@ class TestBundles:
         if reader.is_alive():
             os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))  # lets the reader go
             pytest.fail("read_bundle blocked on a FIFO at the bundle path")
+        assert errors == [f"bundle: no such bundle: {path}"]
+
+    def test_a_fifo_swapped_in_after_a_file_check_does_not_block(self, tmp_path, monkeypatch):
+        # as if a regular file passed a check and a FIFO replaced it before
+        # the open: only what the one open gives is trusted
+        path = tmp_path / "bundle.pkg"
+        os.mkfifo(path)
+        monkeypatch.setattr(os.path, "isfile", lambda p: True)
+        errors = []
+
+        def read():
+            try:
+                read_bundle(path)
+            except BundleError as exc:
+                errors.append(str(exc))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        if reader.is_alive():
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))  # lets the reader go
+            reader.join(timeout=10)
+            pytest.fail("read_bundle blocked on a FIFO at a .pkg path")
         assert errors == [f"bundle: no such bundle: {path}"]
 
     def test_a_symlink_to_a_bundle_directory_loads(self, tmp_path, ed25519_key):

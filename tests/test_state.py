@@ -28,6 +28,8 @@ from faarm.state import (
 )
 from faarm.tools import iter_audit_backwards, read_audit_tail, torn_tail_bytes
 
+from conftest import traced_peak
+
 
 class Boom(RuntimeError):
     """Stands in for a crash at a kill point."""
@@ -968,3 +970,30 @@ class TestTornTailReaders:
                     records = read_audit(tmp)
                     assert [r.to_line() for r in records] == whole_lines
                     assert list(iter_audit_backwards(tmp)) == records[::-1]
+
+    @given(
+        st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\r", b"\r\n", b"\n\r"]), max_size=24),
+        st.integers(1, 8),
+    )
+    def test_forward_and_backward_splits_agree_at_any_block_size(self, pieces, block):
+        # small blocks put a \r and the \n after it into different blocks
+        content = b"".join(pieces)
+        end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "audit.log"
+            log.write_bytes(content)
+            with mock.patch.object(state, "_TAIL_BLOCK", block):
+                torn, *backwards = state._lines_backwards(log)
+                forwards = list(state._lines_forwards(log))
+        assert forwards == backwards[::-1] == content[:end].splitlines()
+        assert torn == content[end:]
+
+    def test_checking_a_large_log_holds_about_a_block(self, store):
+        # the whole-log readers read forwards in blocks, not the log at once
+        log = store.path / "audit.log"
+        while log.stat().st_size < 8 << 20:
+            for _ in range(512):
+                store.append_audit(AuditEvent.WRITE_DENIED, detail="d" * 1000)
+        count, peak = traced_peak(lambda: check_audit_chain(store.path))
+        assert count == store.append_audit(AuditEvent.TASK_DENY, reason="x").seq - 1
+        assert peak < 1 << 20
