@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .crypto import CryptoError
 from .mcu import DEFAULT_CAPACITY, LockMode, McuRegion
@@ -186,5 +187,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m faarm` and the `faarm` script: main,
+    then a flush of stdout and stderr, then os._exit, which skips the
+    interpreter's teardown (freeing every module and a last collection).
+    Nothing is left for it to do: the store writes its audit lines and
+    counter slot with write(2) and closes every file before main returns,
+    and only the standard streams buffer. If a flush fails, sys.exit hands
+    the error to the interpreter, which reports it as it always has. A
+    SystemExit or uncaught exception from main also exits the normal way."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

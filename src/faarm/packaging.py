@@ -330,12 +330,17 @@ def _read_file(fd: int, size: int, limit: int) -> tuple[int, bytes]:
     over `limit` is not read (body b""). Otherwise it is read to its end or
     to one byte past `limit`, and the size is what was read, so a file that
     grew after the fstat still fails its size check. The first read asks for
-    the fstat size + 1, later ones for at most _READ_STEP: read(n) allocates
-    n bytes up front, and the limit can be far above the file's size."""
+    the fstat size + 1; when it returns the fstat size, that is the file's
+    end and the only read. Later reads ask for at most _READ_STEP: read(n)
+    allocates n bytes up front, and the limit can be far above the file's
+    size."""
     if size > limit:
         return size, b""
-    chunks = [os.read(fd, size + 1)]
-    total = len(chunks[0])
+    body = os.read(fd, size + 1)
+    if len(body) == size:
+        return size, body
+    chunks = [body]
+    total = len(body)
     while total <= limit and (chunk := os.read(fd, min(limit + 1 - total, _READ_STEP))):
         chunks.append(chunk)
         total += len(chunk)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -499,14 +500,22 @@ class TestErrorSurface:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+def run_fresh(
+    *argv: str, unbuffered: bool = False, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """Run the interpreter in a new process with only src/ on PYTHONPATH;
     in-process tests cannot see lazy imports, since pytest already loaded
-    the harness."""
+    the harness, nor the process exit. Its stdout is a pipe, buffered unless
+    unbuffered is set, whatever PYTHONUNBUFFERED says here."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
@@ -547,10 +556,15 @@ class TestFreshProcess:
         assert not {"dataclasses", "inspect"} & loaded
 
     def test_an_accepting_verify_loads_only_the_load_path(self, workshop, tmp_path):
-        # runs the package as `python -m faarm` does, then lists what it loaded
+        # runs the package as `python -m faarm` does, then lists what it loaded;
+        # faarm.cli.run ends the process with os._exit, which here raises
+        # SystemExit instead so that the probe lives to print
         probe = tmp_path / "probe.py"
         probe.write_text(
-            "import contextlib, io, json, runpy, sys\n"
+            "import contextlib, io, json, os, runpy, sys\n"
+            "def raise_exit(code):\n"
+            "    raise SystemExit(code)\n"
+            "os._exit = raise_exit\n"
             "before = set(sys.modules)\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
@@ -610,3 +624,67 @@ class TestFreshProcess:
             assert subcommand(name).get_default("mcu_id") == harness.DEFAULT_MCU_ID
         bench = subcommand("bench")
         assert bench.get_default("nominal_init_ms") == harness.DEFAULT_NOMINAL_INIT_MS
+
+
+class TestProcessExit:
+    """faarm.cli.run, the entry of `python -m faarm`, flushes the standard
+    streams and ends the process with os._exit; these runs check that
+    nothing is lost on the way out."""
+
+    def verify(self, workshop, bundle, *extra, **options):
+        return run_fresh("-m", "faarm", "verify", str(bundle),
+                         "--state", str(workshop["state"]), "--json", *extra, **options)
+
+    def test_verify_json_through_a_pipe_is_complete(self, workshop):
+        flipped = workshop["tmp"] / "flipped"
+        shutil.copytree(workshop["bundle"], flipped)
+        raw = bytearray((flipped / "firmware.bin").read_bytes())
+        raw[0] ^= 0x01
+        (flipped / "firmware.bin").write_bytes(bytes(raw))
+        runs = [(workshop["bundle"], (), 0, None), (workshop["bundle"], (), 12, "rollback"),
+                (flipped, (), 11, "hash-mismatch"),
+                (workshop["bundle"], ("--capacity", "1KiB"), 16, "oversize")]
+        for bundle, extra, code, reason in runs:
+            done = self.verify(workshop, bundle, *extra)
+            assert (done.returncode, done.stderr) == (code, "")
+            payload = json.loads(done.stdout)
+            assert (payload["exit_code"], payload["reason"]) == (code, reason)
+            assert done.stdout.endswith("}\n")
+
+    def test_the_region_dump_file_is_complete(self, workshop):
+        dump = workshop["tmp"] / "region.json"
+        done = self.verify(workshop, workshop["bundle"], "--dump-region", str(dump))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(dump.read_text()) == json.loads(done.stdout)["region"]
+
+    @pytest.mark.parametrize(
+        "unbuffered, code, last_line",
+        [(True, 2, "error: [Errno 32] Broken pipe"),
+         (False, 120, "BrokenPipeError: [Errno 32] Broken pipe")],
+        ids=["unbuffered", "buffered"],
+    )
+    def test_a_closed_reader_exits_as_before_and_the_load_commits(
+        self, cli, workshop, unbuffered, code, last_line
+    ):
+        # unbuffered, print fails inside main, which reports it; buffered, the
+        # flush fails and the interpreter reports it as it exits
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.verify(workshop, workshop["bundle"], unbuffered=unbuffered,
+                               stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr.splitlines()[-1]) == (code, last_line)
+        status = cli("status", "--state", str(workshop["state"]), "--json")
+        assert json.loads(status.out)["nv_counter"] == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["verify"],
+                                      ["bogus"]], ids=" ".join)
+    def test_usage_errors_and_help_exit_as_in_process(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        done = run_fresh("-m", "faarm", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            exit_info.value.code, captured.out, captured.err)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faarm import packaging
 from faarm.crypto import (
     Digest,
     SignatureScheme,
@@ -338,6 +339,23 @@ class TestBundles:
         assert (path / "firmware.bin").is_file()
         assert (path / "manifest.json").is_file()
         assert (path / "firmware.sig").is_file()
+
+    def test_a_directory_bundle_reads_each_part_once(self, tmp_path, ed25519_key, monkeypatch):
+        path = self.roundtrip(tmp_path, ed25519_key, "bundle")
+        reads = []
+        real_read = os.read
+
+        def counting_read(fd, n):
+            data = real_read(fd, n)
+            reads.append(len(data))
+            return data
+
+        monkeypatch.setattr(packaging.os, "read", counting_read)
+        back = read_bundle(path)
+        # manifest, signature, image: a read that returns the fstat size is the last
+        assert reads == [(path / name).stat().st_size
+                         for name in ("manifest.json", "firmware.sig", "firmware.bin")]
+        assert len(back.firmware) == reads[-1]
 
     def test_container_roundtrip_bit_exact(self, tmp_path, ed25519_key):
         path = self.roundtrip(tmp_path, ed25519_key, "bundle.pkg")
