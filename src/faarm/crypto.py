@@ -8,6 +8,7 @@ self-describing: a 1-byte scheme tag followed by the encoded key.
 from __future__ import annotations
 
 import hashlib
+import threading
 from enum import Enum
 
 from cryptography.exceptions import InvalidSignature
@@ -20,6 +21,12 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 
 DIGEST_SIZE = 32
 SIGNATURE_SIZE = 64
+
+# verify()'s remembered answers: 32-byte statement digest -> valid, in
+# insertion order; see verify() for the key and the bound
+VERIFY_CACHE_ENTRIES = 1024
+_verified: dict[bytes, bool] = {}
+_verified_lock = threading.Lock()
 
 # secp256r1 group order; seed-derived private scalars must land in [1, n-1]
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
@@ -293,6 +300,19 @@ def verify(key: PublicKey, payload: bytes, sig: Signature | bytes) -> bool:
 
     Malformed signature material (wrong length, bad scalar range, mismatched
     scheme) is a verification failure, never an exception.
+
+    The answer for a well-formed signature, valid or not, is remembered for
+    the whole process, so a statement seen again (a replayed bundle) costs
+    one SHA-256 instead of a public-key verify. The answer depends on the
+    key, payload and signature alone; its entry is keyed on
+    SHA-256(scheme tag || key || signature || payload). The tag fixes the
+    key's length and the signature is always 64 bytes, so two different
+    triples share an entry only through a SHA-256 collision, which would
+    equally let a forger move an ECDSA-SHA256 signature between payloads.
+    The payload is frozen before it is hashed, so mutating the caller's
+    buffer afterwards changes no answer. At most VERIFY_CACHE_ENTRIES
+    answers are kept, oldest evicted first. Keys are 32 bytes whatever the
+    payload size, so the cache holds under 256 KiB (≈140 KiB when full).
     """
     if isinstance(sig, Signature):
         if sig.scheme is not None and sig.scheme is not key.scheme:
@@ -302,6 +322,23 @@ def verify(key: PublicKey, payload: bytes, sig: Signature | bytes) -> bool:
         raw = bytes(sig)
     if len(raw) != SIGNATURE_SIZE:
         return False
+    payload = bytes(payload)
+    statement = hashlib.sha256(key.to_file_bytes())
+    statement.update(raw)
+    statement.update(payload)
+    entry = statement.digest()
+    valid = _verified.get(entry)
+    if valid is None:
+        valid = _signature_valid(key, payload, raw)
+        with _verified_lock:
+            if len(_verified) >= VERIFY_CACHE_ENTRIES:
+                del _verified[next(iter(_verified))]
+            _verified[entry] = valid
+    return valid
+
+
+def _signature_valid(key: PublicKey, payload: bytes, raw: bytes) -> bool:
+    """The library check behind verify(), for a 64-byte raw signature."""
     try:
         if key.scheme is SignatureScheme.ED25519:
             key._handle.verify(raw, payload)

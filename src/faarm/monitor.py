@@ -423,10 +423,18 @@ def _ms_since(start: float) -> float:
 
 def replay_protocol_invariants(records: Iterable[AuditRecord]) -> tuple[int, int]:
     """Check a full audit log against the protocol's replay invariants:
-    accepted versions strictly increase, every LOCK pairs with the accept that
-    follows it, and every task admission names the latest accepted digest.
-    Returns the number of records and the last accepted version (0 when
-    there is none)."""
+    accepted versions strictly increase, a LOCK and the next accept of the
+    same version name the same digest, and every task admission names the
+    latest accepted digest. Returns the number of records and the last
+    accepted version (0 when there is none).
+
+    A load writes the same version into its LOCK and its accept, so a LOCK
+    pairs only with an accept of its own version: a LOCK left by a load that
+    crashed before its accept is followed by a later load's accept of
+    another version, or by none. One case stays ambiguous: a load that
+    crashed after LOCK(v, d1), then a reload and an unlocked accept of a
+    second signed image of the same version, ACCEPT(v, d2), reads exactly as
+    one load whose lock and accept disagree, and is reported as such."""
     count = 0
     last_version = 0
     current_digest: str | None = None
@@ -440,7 +448,11 @@ def replay_protocol_invariants(records: Iterable[AuditRecord]) -> tuple[int, int
                     f"record {record.seq}: accepted version {record.version} "
                     f"is not above {last_version}"
                 )
-            if pending_lock is not None and pending_lock.digest != record.digest:
+            if (
+                pending_lock is not None
+                and pending_lock.version == record.version
+                and pending_lock.digest != record.digest
+            ):
                 raise ReplayError(
                     f"record {record.seq}: accept digest differs from the preceding lock"
                 )

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from faarm import crypto
 from faarm.crypto import KeyPair, SignatureScheme, keygen
-from faarm.mcu import LockMode, McuRegion
+from faarm.mcu import LockMode, LockState, McuRegion
 from faarm.monitor import Monitor
 from faarm.packaging import PKG_MAGIC, FirmwarePackage, build_package
 from faarm.state import SecureStateStore
@@ -52,6 +53,52 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+@pytest.fixture
+def verify_calls(monkeypatch) -> list:
+    """Empties crypto.verify's cache for one test and records each call that
+    reaches the library check behind it, as (key, payload, raw signature)."""
+    calls = []
+    check = crypto._signature_valid
+
+    def counting(key, payload, raw):
+        calls.append((key, payload, raw))
+        return check(key, payload, raw)
+
+    monkeypatch.setattr(crypto, "_verified", {})
+    monkeypatch.setattr(crypto, "_signature_valid", counting)
+    return calls
+
+
+class LoadCrash(RuntimeError):
+    """Stands in for a crash inside a load."""
+
+
+def crash_after_lock_then_accept_unlocked(state: Path, key: KeyPair) -> None:
+    """Write a legitimate history into a provisioned state directory: a load
+    of version 1 crashes right after its LOCK record, the store is loaded
+    again, and version 2 is accepted while its lock fails to engage, which
+    its manifest tolerates since it does not require the lock."""
+
+    def crash(boundary: str) -> None:
+        if boundary == "audit:post:LOCK":
+            raise LoadCrash(boundary)
+
+    with SecureStateStore.load(state, durable=False) as store:
+        store.crash_hook = crash
+        monitor = Monitor(store, McuRegion(capacity=4096), mcu_id=TEST_MCU_ID)
+        with pytest.raises(LoadCrash):
+            monitor.verify_and_lock(build_package(
+                b"\x01" * 1024, version=1, mcu_id=TEST_MCU_ID, key=key,
+                timestamp=TEST_TIMESTAMP))
+    with SecureStateStore.load(state, durable=False) as store:
+        region = McuRegion(capacity=4096)
+        region.fail_next_lock = True
+        result = Monitor(store, region, mcu_id=TEST_MCU_ID).verify_and_lock(build_package(
+            b"\x02" * 1024, version=2, mcu_id=TEST_MCU_ID, key=key,
+            timestamp=TEST_TIMESTAMP, flags=()))
+        assert result.accepted and region.lock_state is LockState.UNLOCKED
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,11 @@ import pytest
 import faarm.mcu
 import faarm.monitor
 from faarm import harness
-from faarm.crypto import hash_data
+from faarm.crypto import KeyPair, hash_data
 from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
 from faarm.state import AuditEvent, AuditRecord, SecureStateStore, read_audit
+
+from conftest import crash_after_lock_then_accept_unlocked
 
 FW = bytes((i * 37) % 256 for i in range(4096))
 COMMANDS = ["keygen", "sign", "provision", "verify", "status", "log", "attack", "bench", "demo"]
@@ -336,6 +338,12 @@ class TestStatusAndLog:
         assert "nv_counter: 0" in cli("status", "--state", state).out
         out = cli("log", "--state", state, "--check")
         assert out.out.startswith("chain OK")
+
+    def test_log_check_passes_a_lock_left_by_a_crashed_load(self, cli, workshop):
+        key = KeyPair.from_file_bytes(workshop["key"].read_bytes())
+        crash_after_lock_then_accept_unlocked(workshop["state"], key)
+        out = cli("log", "--state", str(workshop["state"]), "--check")
+        assert out.out == "chain OK, 3 records\n"
 
     def test_log_check_reports_a_broken_link_before_a_replay_error(self, cli, workshop):
         # the edited accept breaks the replay at its own line and the chain at

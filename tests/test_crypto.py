@@ -1,5 +1,8 @@
 import copy
 import pickle
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -26,6 +29,8 @@ from faarm.crypto import (
     signing_payload,
     verify,
 )
+
+from faarm.packaging import MAX_MANIFEST_BYTES
 
 from reference_sha256 import sha256_reference
 
@@ -235,6 +240,122 @@ class TestSchemeDispatch:
     def test_signature_type_enforces_64_bytes(self):
         with pytest.raises(CryptoError):
             Signature(b"\x00" * 63)
+
+
+@pytest.mark.parametrize("scheme", BOTH_SCHEMES, ids=lambda s: s.value)
+class TestVerifyCache:
+    def test_a_repeated_triple_is_answered_without_a_second_library_call(
+        self, scheme, verify_calls
+    ):
+        pair = keygen(scheme, seed=25, allow_seeded=True)
+        sig = sign(pair, b"payload")
+        forged = bytes(SIGNATURE_SIZE)
+        for _ in range(3):
+            assert verify(pair.public, b"payload", sig) is True
+            assert verify(pair.public, b"payload", forged) is False
+            # the same statement, with the signature as untagged bytes
+            assert verify(pair.public, b"payload", Signature(sig.data)) is True
+        assert [raw for _, _, raw in verify_calls] == [sig.data, forged]
+
+    def test_malformed_signatures_return_before_the_cache(self, scheme, verify_calls):
+        pair = keygen(scheme, seed=26, allow_seeded=True)
+        sig = sign(pair, b"payload")
+        other = next(s for s in BOTH_SCHEMES if s is not scheme)
+        for _ in range(2):
+            assert verify(pair.public, b"payload", Signature(sig.data, other)) is False
+            assert verify(pair.public, b"payload", sig.data[:63]) is False
+        assert verify_calls == [] and crypto._verified == {}
+
+    def test_a_change_to_key_payload_or_signature_is_a_miss(self, scheme, verify_calls):
+        pair = keygen(scheme, seed=27, allow_seeded=True)
+        other = keygen(scheme, seed=28, allow_seeded=True)
+        sig = sign(pair, b"payload")
+        assert verify(pair.public, b"payload", sig) is True
+        flipped = bytes([sig.data[0] ^ 1]) + sig.data[1:]
+        # the first three differ from the cached statement in one part each;
+        # the last is another key's valid statement on the same payload
+        for key, payload, raw, valid in [
+            (other.public, b"payload", sig.data, False),
+            (pair.public, b"payloaD", sig.data, False),
+            (pair.public, b"payload", flipped, False),
+            (other.public, b"payload", sign(other, b"payload").data, True),
+        ]:
+            before = len(verify_calls)
+            assert verify(key, payload, raw) is valid
+            assert len(verify_calls) == before + 1
+        assert verify(pair.public, b"payload", sig) is True
+        assert len(verify_calls) == 5
+
+    def test_mutating_a_payload_buffer_changes_no_later_answer(self, scheme, verify_calls):
+        pair = keygen(scheme, seed=29, allow_seeded=True)
+        sig = sign(pair, b"payload")
+        buffer = bytearray(b"payload")
+        assert verify(pair.public, buffer, sig) is True
+        buffer[0] ^= 1
+        assert verify(pair.public, buffer, sig) is False
+        buffer[0] ^= 1
+        assert verify(pair.public, buffer, sig) is True
+        assert verify(pair.public, b"payload", sig) is True
+        assert verify(pair.public, b"qayload", sig) is False
+        assert [type(payload) for _, payload, _ in verify_calls] == [bytes, bytes]
+
+    def test_maximum_size_manifests_keep_the_cache_in_its_bound(self, scheme, monkeypatch):
+        pair = keygen(scheme, seed=30, allow_seeded=True)
+        monkeypatch.setattr(crypto, "_verified", {})
+        monkeypatch.setattr(crypto, "_signature_valid", lambda key, payload, raw: False)
+        body = bytes(DIGEST_SIZE + MAX_MANIFEST_BYTES - 4)
+        raw = bytes(SIGNATURE_SIZE)
+        count = crypto.VERIFY_CACHE_ENTRIES + 100
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(count):
+                verify(pair.public, i.to_bytes(4, "big") + body, raw)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(crypto._verified) == crypto.VERIFY_CACHE_ENTRIES
+        assert held < 256 * 1024
+        # the oldest 100 answers were evicted: only the first of these misses
+        calls = []
+        monkeypatch.setattr(crypto, "_signature_valid",
+                            lambda key, payload, raw: calls.append(payload[:4]) or False)
+        for i in (100, count - 1, 99):
+            verify(pair.public, i.to_bytes(4, "big") + body, raw)
+        assert calls == [(99).to_bytes(4, "big")]
+
+    def test_concurrent_callers_get_the_right_answers(self, scheme, monkeypatch):
+        pair = keygen(scheme, seed=31, allow_seeded=True)
+        monkeypatch.setattr(crypto, "_verified", {})
+        monkeypatch.setattr(crypto, "VERIFY_CACHE_ENTRIES", 8)
+        # a payload is "validly signed" when its first byte is even
+        monkeypatch.setattr(crypto, "_signature_valid",
+                            lambda key, payload, raw: payload[0] % 2 == 0)
+        raw = bytes(SIGNATURE_SIZE)
+        wrong = []
+
+        def caller(seed):
+            try:
+                for i in range(2000):
+                    n = (i * 7 + seed) % 32
+                    if verify(pair.public, bytes([n]), raw) is not (n % 2 == 0):
+                        wrong.append(n)
+            except Exception as exc:  # an eviction race surfaces as KeyError
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(crypto._verified) <= 8
 
 
 P256_ORDER = crypto._P256_ORDER

@@ -267,6 +267,13 @@ class TestBench:
             stats["total"].mean_ms / DEFAULT_NOMINAL_INIT_MS * 100.0
         )
 
+    def test_every_load_pays_a_full_signature_check(self, verify_calls):
+        # the paper's measurement: fresh images at rising versions, so no
+        # load is answered from crypto.verify's cache
+        run_bench(firmware_size=4096, runs=5, warmup=2)
+        assert len(verify_calls) == 7
+        assert len({payload for _, payload, _ in verify_calls}) == 7
+
     def test_verify_latency_grows_with_image_size(self):
         small = run_bench(firmware_size=64 * 1024, runs=3, warmup=1)
         large = run_bench(firmware_size=8 * 1024 * 1024, runs=3, warmup=1)

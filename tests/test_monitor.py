@@ -29,7 +29,7 @@ from faarm.packaging import FLAG_REQUIRES_LOCK, FirmwarePackage, canonical_bytes
 from faarm.state import AuditEvent, SecureStateStore, StateError, check_audit_chain, read_audit
 from faarm.tools import derive_status
 
-from conftest import traced_peak, write_container
+from conftest import crash_after_lock_then_accept_unlocked, traced_peak, write_container
 
 FW = bytes(range(256)) * 8  # 2 KiB
 GIB = 1 << 30
@@ -176,6 +176,36 @@ class TestRejections:
         result = env.monitor.verify_and_lock(pkg)
         assert result.reason is RejectionReason.MALFORMED_BUNDLE
         assert result.exit_code == 15
+
+    def test_replayed_bundles_get_identical_rejects_and_one_check_each(
+        self, env, tmp_path, verify_calls
+    ):
+        from faarm.packaging import build_package
+
+        assert env.monitor.verify_and_lock(env.package(FW, 3)).accepted
+        intruder = keygen(SignatureScheme.ED25519, seed=667, allow_seeded=True)
+        bundles = {
+            "rollback": write_bundle(env.package(FW[::-1], 2), tmp_path / "old"),
+            "bad-signature": write_bundle(build_package(
+                FW[::-1], version=4, mcu_id=env.monitor.mcu_id, key=intruder,
+                timestamp="2025-10-10T12:00:00Z"), tmp_path / "foreign"),
+        }
+        del verify_calls[:]
+        before = env.region.digest()
+        replays = 5
+        for _ in range(replays):
+            for bundle in bundles.values():
+                assert not env.monitor.verify_bundle(bundle).accepted
+        rejects = [(r.reason, r.version, r.detail) for r in read_audit(env.store.path)
+                   if r.event is AuditEvent.VERIFY_REJECT]
+        assert rejects == replays * [
+            ("rollback", 2, "version 2 is not above counter 3"),
+            ("bad-signature", 4, "signature does not verify against the provisioned anchor"),
+        ]
+        # each rollback reject passed the signature gate first, yet the
+        # library checked each of the two statements once
+        assert len(verify_calls) == len(bundles)
+        self.assert_nothing_committed(env, before, 3, Phase.LOADED_LOCKED)
 
     @pytest.mark.parametrize("source", ["memory", "memory-bytearray", "bundle", "bundle.pkg"])
     def test_oversize_firmware_is_rejected(self, make_env, tmp_path, source):
@@ -849,6 +879,21 @@ class TestReplayValidator:
         env.monitor.submit_task(result.token, b"ENC1data")
         env.monitor.verify_and_lock(env.package(FW[::-1], 2))
         replay_protocol_invariants(read_audit(env.store.path))
+
+    def test_a_lock_left_by_a_crashed_load_pairs_with_no_other_version(self, env):
+        env.store.close()
+        crash_after_lock_then_accept_unlocked(env.store.path, env.key)
+        records = read_audit(env.store.path)
+        assert [(r.event, r.version) for r in records[1:]] == [
+            (AuditEvent.LOCK, 1), (AuditEvent.VERIFY_ACCEPT, 2)]
+        assert records[1].digest != records[2].digest
+        assert replay_protocol_invariants(records) == (3, 2)
+
+    def test_a_lock_and_accept_of_one_version_with_two_digests_fail(self, env):
+        env.store.append_audit(AuditEvent.LOCK, version=1, digest="ab" * 32)
+        env.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="cd" * 32)
+        with pytest.raises(ReplayError, match="record 3: accept digest differs"):
+            replay_protocol_invariants(read_audit(env.store.path))
 
     def test_non_increasing_accepts_fail(self, env):
         env.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=2, digest="ab" * 32)
