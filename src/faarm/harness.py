@@ -30,6 +30,7 @@ from io import StringIO
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import crypto
 from .crypto import KeyPair, Signature, SignatureScheme, hash_data, keygen
 from .mcu import (
     DEFAULT_CAPACITY,
@@ -390,22 +391,13 @@ def _reconcile_with_audit(report: ScenarioReport) -> None:
 def run_matrix(
     *,
     kinds: Iterable[ScenarioKind] = ALL_KINDS,
-    modes: Iterable[LoaderMode] = (LoaderMode.BASELINE, LoaderMode.FAARM),
-    trials: int = 50,
-    seed: int = 0,
-    lock_mode: LockMode = LockMode.HARDWARE_WP,
-    firmware_size: int = 4096,
-    scheme: SignatureScheme = SignatureScheme.ED25519,
+    modes: Iterable[LoaderMode] = tuple(LoaderMode),
+    **fields,
 ) -> list[ScenarioReport]:
-    reports = []
-    for kind in kinds:
-        for mode in modes:
-            scenario = Scenario(
-                kind=kind, mode=mode, trials=trials, lock_mode=lock_mode,
-                seed=seed, firmware_size=firmware_size, scheme=scheme,
-            )
-            reports.append(run_scenario(scenario))
-    return reports
+    """One report per kind and mode, kinds outermost; fields are Scenario's
+    other fields, with Scenario's defaults."""
+    return [run_scenario(Scenario(kind=kind, mode=mode, **fields))
+            for kind in kinds for mode in modes]
 
 
 # -- benchmark -----------------------------------------------------------------
@@ -465,7 +457,8 @@ def run_bench(
 ) -> BenchResult:
     """Measure verify/lock/total stage latencies over `runs` accepted loads of
     fresh images, after `warmup` excluded runs; one monitor serves all runs
-    with a strictly increasing version number."""
+    with a strictly increasing version number, and crypto.verify's cache is
+    emptied first, so every load pays a full signature check."""
     if runs < 1:
         raise HarnessError("runs must be >= 1")
     rng = random.Random(_trial_seed(seed, ScenarioKind.SIGNED_GOOD, LoaderMode.FAARM, 0))
@@ -479,6 +472,8 @@ def run_bench(
                 capacity=max(DEFAULT_CAPACITY, firmware_size), lock_mode=lock_mode
             )
             monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
+            with crypto._verified_lock:  # an earlier call signed these same statements
+                crypto._verified.clear()
             for run in range(warmup + runs):
                 fw = rng.randbytes(firmware_size)
                 result = monitor.verify_and_lock(_build(key, fw, run + 1))
@@ -532,7 +527,7 @@ def bench_csv(result: BenchResult) -> str:
     return out.getvalue()
 
 
-def _matrix_cell(report: ScenarioReport) -> str:
+def _outcome_cell(report: ScenarioReport) -> str:
     n = len(report.trials)
     kind = report.scenario.kind
     if report.scenario.mode is LoaderMode.BASELINE:
@@ -548,59 +543,38 @@ def _matrix_cell(report: ScenarioReport) -> str:
     return f"blocked: {dominant} ({report.blocked_count}/{n})"
 
 
+def _rate_cell(report: ScenarioReport) -> str:
+    n = len(report.trials)
+    if report.scenario.kind is ScenarioKind.SIGNED_GOOD:
+        return f"legit {report.legitimate_success_count}/{n}"
+    if not n:  # every trial was an infrastructure failure
+        return "0/0"
+    return f"{report.attack_success_count}/{n} ({100.0 * report.attack_success_count / n:.0f}%)"
+
+
+_COLUMN_TITLES = {LoaderMode.BASELINE: "baseline loader", LoaderMode.FAARM: "faarm monitor"}
+
+
 def render_matrix(reports: Sequence[ScenarioReport]) -> str:
-    """Two-column outcome matrix plus an attack success-rate summary."""
+    """The outcome matrix and the attack success rates: one row per scenario
+    kind and one column per loader mode, both at the outcome table's widths."""
     by_key = {(r.scenario.kind, r.scenario.mode): r for r in reports}
     kinds = [k for k in ALL_KINDS if any(key[0] is k for key in by_key)]
-    rows = []
-    for kind in kinds:
-        baseline = by_key.get((kind, LoaderMode.BASELINE))
-        faarm = by_key.get((kind, LoaderMode.FAARM))
-        rows.append(
-            (
-                kind.value,
-                _matrix_cell(baseline) if baseline else "-",
-                _matrix_cell(faarm) if faarm else "-",
-            )
-        )
-    widths = [
-        max(len("scenario"), *(len(r[0]) for r in rows)),
-        max(len("baseline loader"), *(len(r[1]) for r in rows)),
-        max(len("faarm monitor"), *(len(r[2]) for r in rows)),
-    ]
+    tables = {
+        title: [(k.value, *(cell(by_key[k, m]) if (k, m) in by_key else "-" for m in LoaderMode))
+                for k in kinds]
+        for title, cell in (("outcome matrix", _outcome_cell), ("attack success rates", _rate_cell))
+    }
+    header = ("scenario", *(_COLUMN_TITLES[mode] for mode in LoaderMode))
+    widths = [max(map(len, column)) for column in zip(header, *tables["outcome matrix"])]
     out = StringIO()
-
-    def line(cells: tuple[str, str, str]) -> None:
-        out.write(
-            f"  {cells[0]:<{widths[0]}}  {cells[1]:<{widths[1]}}  {cells[2]:<{widths[2]}}\n"
-        )
-
-    out.write("outcome matrix\n")
-    line(("scenario", "baseline loader", "faarm monitor"))
-    line(tuple("-" * w for w in widths))  # type: ignore[arg-type]
-    for row in rows:
-        line(row)
-
-    out.write("\nattack success rates\n")
-    line(("scenario", "baseline loader", "faarm monitor"))
-    line(tuple("-" * w for w in widths))  # type: ignore[arg-type]
-    for kind in kinds:
-        baseline = by_key.get((kind, LoaderMode.BASELINE))
-        faarm = by_key.get((kind, LoaderMode.FAARM))
-
-        def rate(r: ScenarioReport | None) -> str:
-            if r is None:
-                return "-"
-            n = len(r.trials)
-            if kind is ScenarioKind.SIGNED_GOOD:
-                return f"legit {r.legitimate_success_count}/{n}"
-            if not n:  # every trial was an infrastructure failure
-                return "0/0"
-            return f"{r.attack_success_count}/{n} ({100.0 * r.attack_success_count / n:.0f}%)"
-
-        line((kind.value, rate(baseline), rate(faarm)))
+    for title, rows in tables.items():
+        out.write(f"{title}\n")
+        for row in (header, ["-" * w for w in widths], *rows):
+            out.write("".join(f"  {text:<{w}}" for text, w in zip(row, widths)) + "\n")
+        out.write("\n")
     out.write(
-        "\nnote: the toctou-overwrite scenario is counted in both tables above;"
+        "note: the toctou-overwrite scenario is counted in both tables above;"
         "\nits blocked column reflects overwrites that were denied by the held"
         "\nlock or caught by the post-lock recheck.\n"
     )

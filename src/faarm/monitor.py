@@ -423,10 +423,10 @@ def _ms_since(start: float) -> float:
 
 def replay_protocol_invariants(records: Iterable[AuditRecord]) -> tuple[int, int]:
     """Check a full audit log against the protocol's replay invariants:
-    accepted versions strictly increase, a LOCK and the next accept of the
-    same version name the same digest, and every task admission names the
-    latest accepted digest. Returns the number of records and the last
-    accepted version (0 when there is none).
+    accepted versions are ints (not bools) and strictly increase, a LOCK and
+    the next accept of the same version name the same digest, and every task
+    admission names the latest accepted digest. Returns the number of
+    records and the last accepted version (0 when there is none).
 
     A load writes the same version into its LOCK and its accept, so a LOCK
     pairs only with an accept of its own version: a LOCK left by a load that
@@ -443,7 +443,7 @@ def replay_protocol_invariants(records: Iterable[AuditRecord]) -> tuple[int, int
         if record.event is AuditEvent.LOCK:
             pending_lock = record
         elif record.event is AuditEvent.VERIFY_ACCEPT:
-            if record.version is None or record.version <= last_version:
+            if type(record.version) is not int or record.version <= last_version:
                 raise ReplayError(
                     f"record {record.seq}: accepted version {record.version} "
                     f"is not above {last_version}"

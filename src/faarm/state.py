@@ -309,13 +309,13 @@ class SecureStateStore:
     # -- the two-phase counter ---------------------------------------------
 
     def check_version(self, candidate: int) -> bool:
-        """Anti-rollback gate: candidate is acceptable iff strictly above the
-        committed counter (and within the MAX_COUNTER a slot holds). Never
-        mutates; raises StateError on a closed store, whose counter may be
-        behind what the files hold."""
+        """Anti-rollback gate: candidate is acceptable iff an int, not a bool,
+        strictly above the committed counter (and within the MAX_COUNTER a
+        slot holds). Never mutates; raises StateError on a closed store, whose
+        counter may be behind what the files hold."""
         if self._closed is not None:
             raise StateError(self._closed)
-        return isinstance(candidate, int) and self._nv < candidate <= MAX_COUNTER
+        return type(candidate) is int and self._nv < candidate <= MAX_COUNTER
 
     def commit_version(self, version: int) -> None:
         """Persist the counter at version in place: one write of the slot

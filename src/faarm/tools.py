@@ -16,17 +16,11 @@ import os
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .cli import EXIT_INTEGRITY, EXIT_OK, CliError, _add_state_arg, _state_dir, parse_size
 from .crypto import Digest, KeyPair, PublicKey, SignatureScheme, keygen
-from .mcu import (
-    DEFAULT_CAPACITY,
-    DEFAULT_NOMINAL_INIT_MS,
-    LockMode,
-    McuRegion,
-    WriteOutcome,
-)
+from .mcu import DEFAULT_NOMINAL_INIT_MS, LockMode, McuRegion, WriteOutcome
 from .monitor import Monitor, MonitorStatus, Phase, ReplayError, replay_protocol_invariants
 from .packaging import (
     DEFAULT_MCU_ID,
@@ -45,28 +39,6 @@ from .state import (
     read_state,
     walk_audit_chain,
 )
-
-
-class CliConfig(NamedTuple):
-    """Effective run configuration, echoed into machine-readable reports."""
-
-    state_dir: str
-    mcu_id: str
-    capacity: int
-    lock_mode: str
-    output: str
-    seed: int
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        state_dir=str(_state_dir(args)) if hasattr(args, "state") else "-",
-        mcu_id=getattr(args, "mcu_id", DEFAULT_MCU_ID),
-        capacity=getattr(args, "capacity", DEFAULT_CAPACITY),
-        lock_mode=getattr(args, "lock_mode", LockMode.HARDWARE_WP.value),
-        output="json" if getattr(args, "json", False) else "text",
-        seed=getattr(args, "seed", 0),
-    )
 
 
 # -- read-only audit log readers ------------------------------------------------
@@ -277,14 +249,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     from . import harness
     from .harness import LoaderMode, ScenarioKind
 
-    if args.scenario:
-        kinds = [ScenarioKind(s) for s in args.scenario]
-    else:
-        kinds = list(harness.ALL_KINDS)
-    if args.mode == "both":
-        modes = [LoaderMode.BASELINE, LoaderMode.FAARM]
-    else:
-        modes = [LoaderMode(args.mode)]
+    kinds = [ScenarioKind(s) for s in args.scenario] if args.scenario else harness.ALL_KINDS
+    modes = tuple(LoaderMode) if args.mode == "both" else (LoaderMode(args.mode),)
     try:
         reports = harness.run_matrix(
             kinds=kinds,
@@ -297,12 +263,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
     except harness.HarnessError as exc:
         raise CliError(str(exc)) from None
-    config = _config(args)._asdict()
-    config.update({"trials": args.trials, "firmware_size": args.firmware_size,
-                   "scheme": args.scheme})
     if args.csv:
         Path(args.csv).write_text(harness.latency_csv(reports))
     if args.json:
+        config = {"lock_mode": args.lock_mode, "seed": args.seed, "trials": args.trials,
+                  "firmware_size": args.firmware_size, "scheme": args.scheme}
         print(harness.reports_to_json(reports, config=config), end="")
     else:
         print(harness.render_matrix(reports), end="")
@@ -338,7 +303,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text(harness.bench_csv(result))
     if args.json:
-        config = _config(args)._asdict()
+        config = {"lock_mode": args.lock_mode, "seed": args.seed}
         print(harness.bench_to_json(result, config=config), end="")
     else:
         print(harness.render_bench(result), end="")

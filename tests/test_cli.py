@@ -339,6 +339,25 @@ class TestStatusAndLog:
         out = cli("log", "--state", state, "--check")
         assert out.out.startswith("chain OK")
 
+    def test_an_accept_of_version_true_is_neither_rolled_forward_nor_passed(
+        self, cli, workshop
+    ):
+        # JSON's true parses to a bool, which Python counts as the int 1
+        state = str(workshop["state"])
+        counter = workshop["state"] / "counter"
+        provisioned = counter.read_bytes()
+        cli("verify", str(workshop["bundle"]), "--state", state)
+        log_path = workshop["state"] / "audit.log"
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        assert b'"event":"VERIFY_ACCEPT","version":1,' in lines[-1]
+        lines[-1] = lines[-1].replace(b'"version":1,', b'"version":true,')
+        log_path.write_bytes(b"".join(lines))
+        counter.write_bytes(provisioned)
+        with SecureStateStore.load(workshop["state"], durable=False) as store:
+            assert store.nv_counter == 0
+        assert AuditEvent.RECOVER not in {r.event for r in read_audit(workshop["state"])}
+        cli("log", "--state", state, "--check", expect=1)
+
     def test_log_check_passes_a_lock_left_by_a_crashed_load(self, cli, workshop):
         key = KeyPair.from_file_bytes(workshop["key"].read_bytes())
         crash_after_lock_then_accept_unlocked(workshop["state"], key)

@@ -231,6 +231,22 @@ class TestMatrix:
             assert kind.value in text
         assert "baseline" in text and "faarm" in text
 
+    def test_run_matrix_hands_every_field_to_each_scenario(self):
+        fields = dict(trials=2, seed=9, lock_mode=LockMode.SOFTWARE_LOCK,
+                      firmware_size=640, scheme=SignatureScheme.ECDSA_P256)
+        kind = ScenarioKind.UNSIGNED_LOAD
+        reports = run_matrix(kinds=(kind,), **fields)
+        assert [r.scenario for r in reports] == [
+            Scenario(kind=kind, mode=mode, **fields) for mode in LoaderMode
+        ]
+
+    def test_readme_matrix_is_the_rendered_layout(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = readme.index("$ faarm attack --trials 50") + 1
+        block = readme[start : readme.index("```", start)]
+        rendered = render_matrix(run_matrix(trials=50)).splitlines()[: len(block)]
+        assert [line.rstrip() for line in rendered] == [line.rstrip() for line in block]
+
     def test_a_cell_without_completed_trials_renders(self):
         scenario = Scenario(kind=ScenarioKind.UNSIGNED_LOAD, mode=LoaderMode.BASELINE)
         report = ScenarioReport(scenario, [], {}, ["trial 0: OSError: boom"])
@@ -269,9 +285,11 @@ class TestBench:
 
     def test_every_load_pays_a_full_signature_check(self, verify_calls):
         # the paper's measurement: fresh images at rising versions, so no
-        # load is answered from crypto.verify's cache
-        run_bench(firmware_size=4096, runs=5, warmup=2)
-        assert len(verify_calls) == 7
+        # load is answered from crypto.verify's cache, not even in a second
+        # call that signs the same statements again
+        for _ in range(2):
+            run_bench(firmware_size=4096, runs=5, warmup=2)
+        assert len(verify_calls) == 14
         assert len({payload for _, payload, _ in verify_calls}) == 7
 
     def test_verify_latency_grows_with_image_size(self):
