@@ -160,9 +160,11 @@ class Signature(Frozen):
 
 
 class PublicKey(Frozen):
-    __slots__ = ("scheme", "data", "_handle")
+    __slots__ = ("scheme", "data", "_handle", "_file_bytes")
     # _handle is the decoded key, built once here (which also validates the
-    # point) and reused by every verify(); not part of equality, hash or repr
+    # point) and reused by every verify(), as is _file_bytes, the tag-prefixed
+    # encoding that keys verify()'s cache; neither is part of equality, hash
+    # or repr
     _fields = ("scheme", "data")
 
     def __init__(self, scheme: SignatureScheme, data: bytes) -> None:
@@ -180,9 +182,10 @@ class PublicKey(Frozen):
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_handle", handle)
+        object.__setattr__(self, "_file_bytes", bytes([scheme.tag]) + data)
 
     def to_file_bytes(self) -> bytes:
-        return bytes([self.scheme.tag]) + self.data
+        return self._file_bytes
 
     @classmethod
     def from_file_bytes(cls, raw: bytes) -> "PublicKey":
@@ -323,7 +326,7 @@ def verify(key: PublicKey, payload: bytes, sig: Signature | bytes) -> bool:
     if len(raw) != SIGNATURE_SIZE:
         return False
     payload = bytes(payload)
-    statement = hashlib.sha256(key.to_file_bytes())
+    statement = hashlib.sha256(key._file_bytes)
     statement.update(raw)
     statement.update(payload)
     entry = statement.digest()

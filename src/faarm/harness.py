@@ -395,7 +395,9 @@ def run_matrix(
     **fields,
 ) -> list[ScenarioReport]:
     """One report per kind and mode, kinds outermost; fields are Scenario's
-    other fields, with Scenario's defaults."""
+    other fields, with Scenario's defaults. kinds and modes may be any
+    iterables: both are read once, into tuples, before the first run."""
+    kinds, modes = tuple(kinds), tuple(modes)
     return [run_scenario(Scenario(kind=kind, mode=mode, **fields))
             for kind in kinds for mode in modes]
 

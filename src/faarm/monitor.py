@@ -4,29 +4,46 @@ session rechecks, and the task admission gate.
 Load protocol, in order (a failing step rejects with the reason shown, appends
 a VERIFY_REJECT record, and leaves both the counter and the region untouched):
 
-  1. parse the bundle (verify_bundle only)         -> malformed-bundle
+  1. parse the manifest and the signature
+     (verify_bundle only)                         -> malformed-bundle
   2. image fits the region, by its length alone   -> oversize
-     (checked before the image is read or copied)
-  3. freeze the firmware image as bytes and hash it, once
-  4. compare against the manifest hash            -> hash-mismatch
-  5. verify the signature over digest||manifest   -> bad-signature
-  6. manifest identity matches this monitor       -> malformed-bundle
-  7. version strictly above the committed counter -> rollback
-  8. every manifest flag is known                 -> unknown-flag
-  9. secure write of the step-3 bytes + lock with
-     the step-3 digest, in one critical section
+     (fstat or the .pkg length header; checked
+     before the image is read or copied)
+  3. verify the signature over the manifest's
+     firmware_hash || canonical manifest          -> bad-signature
+  4. manifest identity matches this monitor       -> malformed-bundle
+  5. version strictly above the committed counter -> rollback
+  6. every manifest flag is known                 -> unknown-flag
+  7. read the image (verify_bundle) and hash it, once; verify_and_lock
+     hashes the bytes it froze the image into on entry
+  8. compare against the authenticated hash       -> hash-mismatch
+  9. secure write of the step-7 bytes + lock with
+     the step-7 digest, in one critical section
      (no EL1 write can interleave)                -> lock-failed
  10. VERIFY_ACCEPT, counter commit, token issue
      (if a record or the commit raises, the region is
      restored to its pre-step-9 snapshot and the error
      propagates)
 
-StageTimings splits each load into three stages: verify_ms spans the step-3
-hash and steps 4-8 (the signature and the three policy gates take
-microseconds of it), lock_ms spans step 9, and total_ms runs from entry to
-the built result, so it alone includes the audit appends, the counter commit
-and, for verify_bundle, the step-1 read and parse, accepted or rejected. A
-load rejected at step 1 or 2 has verify_ms == lock_ms == 0.
+Steps 3-6 (_authenticate) need the manifest and the signature alone, so the
+image of a bundle they refuse is never read or hashed: a forged, foreign,
+rolled-back or unknown-flag bundle costs its manifest parse and one
+signature check, whatever the size of its image. verify_bundle runs them
+from inside read_bundle, before the image read, and holds _serial from step
+1 through step 10, so no other load commits between its rollback gate and
+its commit. Checking the hash after the signature loses nothing: the
+signature covers firmware_hash, so once it verifies, step 8 holds the image
+to the vendor's own digest. A bundle with several faults rejects at the
+earliest gate it fails; a tampered image with a bad signature is
+bad-signature, and a tampered image of a stale version is rollback.
+
+StageTimings splits each load into three stages: verify_ms spans steps 3-8,
+which for verify_bundle include the image read; lock_ms spans step 9; and
+total_ms runs from entry to the built result, so it alone includes the audit
+appends, the counter commit and, for verify_bundle, steps 1 and 2, accepted
+or rejected. A load rejected at step 1 or 2 has verify_ms == lock_ms == 0.
+(A bundle image that grows past the region after its fstat is read to one
+byte over the bound at step 7 and rejected as oversize with verify_ms > 0.)
 
 The size gate comes first because it needs only the image's length, which
 the bundle's author already knows, so it tells a prober nothing about the
@@ -47,13 +64,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .crypto import CryptoError, Digest, hash_data, signing_payload, verify
+from .crypto import CryptoError, Digest, Signature, hash_data, signing_payload, verify
 from .mcu import HookPoint, LockEngageError, LockState, McuRegion
 from .packaging import (
     FLAG_REQUIRES_LOCK,
     BundleError,
     FirmwarePackage,
     ImageTooLarge,
+    Manifest,
     ManifestError,
     canonical_bytes,
     read_bundle,
@@ -71,6 +89,16 @@ class MonitorError(Exception):
 
 class ReplayError(Exception):
     """An audit log violates the protocol's replay invariants."""
+
+
+class _Refused(Exception):
+    """Raised out of read_bundle by verify_bundle's check when the manifest
+    fails a gate, so that the image is never read; carries the rejection, as
+    (reason, detail), and the manifest's version."""
+
+    def __init__(self, rejection: tuple[RejectionReason, str], version: int):
+        self.rejection = rejection
+        self.version = version
 
 
 class Phase(Enum):
@@ -189,93 +217,118 @@ class Monitor:
         after verification cannot change what gets locked. An oversize image
         is rejected from its length and never copied.
         """
-        return self._load(package, time.perf_counter())
-
-    def verify_bundle(self, path: str | Path) -> VerifyResult:
-        """Read a bundle from disk and run the load protocol; parse failures
-        reject as malformed-bundle, and an image over the region's capacity
-        rejects as oversize without being read. total_ms includes the read."""
         t_total = time.perf_counter()
-        version = None
-        try:
-            package = read_bundle(path, max_firmware=self.region.capacity)
-        except (BundleError, ManifestError, CryptoError) as exc:
-            rejection = RejectionReason.MALFORMED_BUNDLE, str(exc)
-        except ImageTooLarge as exc:
-            rejection, version = self._check_size(exc.size), exc.manifest.version
-        else:
-            return self._load(package, t_total)
-        with self._serial:
-            return self._reject(*rejection, version, t_total)
-
-    def _load(self, package: FirmwarePackage, t_total: float) -> VerifyResult:
-        """The load protocol from step 2 on, for both entry points; t_total is
-        the perf_counter() reading taken when the entry point was called."""
         with self._serial:
             manifest = package.manifest
-            version = manifest.version
             firmware = package.firmware
             size = len(firmware)
             if size <= self.region.capacity:
                 firmware = bytes(firmware)
                 size = len(firmware)  # the frozen length is the one gated
             self.region.fire(HookPoint.PRE_VERIFY)
-            verify_ms = lock_ms = 0.0
-
             rejection = self._check_size(size)
-            if rejection is None:
-                t_verify = time.perf_counter()
-                digest = hash_data(firmware)
-                rejection = self._check_gates(digest, package)
-                verify_ms = _ms_since(t_verify)
-            if rejection is None:
-                requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
-                self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
-                t_lock = time.perf_counter()
-                lock_engaged = False
-                with self.region.exclusive():
-                    snap = self.region.snapshot()
-                    try:
-                        self.region.unlock_for_update()
-                        self.region.secure_write(firmware)
-                        self.region.lock(digest)
-                        lock_engaged = True
-                    except LockEngageError:
-                        if requires_lock:
-                            self.region.restore(snap)
-                lock_ms = _ms_since(t_lock)
-                if not lock_engaged and requires_lock:
-                    rejection = (
-                        RejectionReason.LOCK_FAILED,
-                        "region lock did not engage and the manifest requires it",
-                    )
             if rejection is not None:
-                return self._reject(*rejection, version, t_total, verify_ms, lock_ms)
+                return self._reject(*rejection, manifest.version, t_total)
+            t_verify = time.perf_counter()
+            rejection = self._authenticate(manifest, package.signature)
+            if rejection is not None:
+                return self._reject(*rejection, manifest.version, t_total, _ms_since(t_verify))
+            return self._hash_and_lock(firmware, manifest, t_total, t_verify)
 
+    def verify_bundle(self, path: str | Path) -> VerifyResult:
+        """Read a bundle from disk and run the load protocol; parse failures
+        reject as malformed-bundle, and an image over the region's capacity
+        rejects as oversize without being read. The manifest gates run
+        inside read_bundle, before it reads the image, so a bundle they
+        refuse has no image byte read. total_ms includes the read."""
+        t_total = time.perf_counter()
+        t_verify = None
+
+        def authenticate(manifest: Manifest, signature: Signature) -> None:
+            nonlocal t_verify
+            self.region.fire(HookPoint.PRE_VERIFY)
+            t_verify = time.perf_counter()
+            rejection = self._authenticate(manifest, signature)
+            if rejection is not None:
+                raise _Refused(rejection, manifest.version)
+
+        with self._serial:
+            version = None
             try:
-                if lock_engaged:
-                    self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
-                self.store.append_audit(
-                    AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex
+                package = read_bundle(
+                    path, max_firmware=self.region.capacity, check=authenticate
                 )
-                self.store.commit_version(version)
-            except BaseException:
-                # the region goes back to the image status() describes; the
-                # next load decides from the log whether this one was accepted
-                self.region.restore(snap)
-                raise
+            except _Refused as exc:
+                rejection, version = exc.rejection, exc.version
+            except (BundleError, ManifestError, CryptoError) as exc:
+                rejection = RejectionReason.MALFORMED_BUNDLE, str(exc)
+            except ImageTooLarge as exc:
+                rejection, version = self._check_size(exc.size), exc.manifest.version
+            else:
+                return self._hash_and_lock(package.firmware, package.manifest, t_total, t_verify)
+            verify_ms = 0.0 if t_verify is None else _ms_since(t_verify)
+            return self._reject(*rejection, version, t_total, verify_ms)
 
-            self._current_version = version
-            self._current_digest = digest
-            self._token = AuthToken(os.urandom(16).hex(), version, digest.hex)
-            self.phase = Phase.LOADED_LOCKED
-            result = VerifyResult(
-                accepted=True, reason=None, detail=None,
-                version=version, digest=digest, token=self._token,
-                timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
+    def _hash_and_lock(
+        self, firmware: bytes, manifest: Manifest, t_total: float, t_verify: float
+    ) -> VerifyResult:
+        """The load protocol from step 7 on, for both entry points, once the
+        manifest has passed its gates; the caller holds _serial. t_total and
+        t_verify are the perf_counter() readings taken when the entry point
+        was called and when the signature gate began."""
+        version = manifest.version
+        digest = hash_data(firmware)
+        if digest != manifest.firmware_hash:
+            return self._reject(
+                RejectionReason.HASH_MISMATCH,
+                f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}",
+                version, t_total, _ms_since(t_verify),
             )
-            self.region.fire(HookPoint.POST_LOCK)
-            return result
+        verify_ms = _ms_since(t_verify)
+        requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
+        self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
+        t_lock = time.perf_counter()
+        lock_engaged = False
+        with self.region.exclusive():
+            snap = self.region.snapshot()
+            try:
+                self.region.unlock_for_update()
+                self.region.secure_write(firmware)
+                self.region.lock(digest)
+                lock_engaged = True
+            except LockEngageError:
+                if requires_lock:
+                    self.region.restore(snap)
+        lock_ms = _ms_since(t_lock)
+        if not lock_engaged and requires_lock:
+            return self._reject(
+                RejectionReason.LOCK_FAILED,
+                "region lock did not engage and the manifest requires it",
+                version, t_total, verify_ms, lock_ms,
+            )
+
+        try:
+            if lock_engaged:
+                self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
+            self.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex)
+            self.store.commit_version(version)
+        except BaseException:
+            # the region goes back to the image status() describes; the
+            # next load decides from the log whether this one was accepted
+            self.region.restore(snap)
+            raise
+
+        self._current_version = version
+        self._current_digest = digest
+        self._token = AuthToken(os.urandom(16).hex(), version, digest.hex)
+        self.phase = Phase.LOADED_LOCKED
+        result = VerifyResult(
+            accepted=True, reason=None, detail=None,
+            version=version, digest=digest, token=self._token,
+            timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
+        )
+        self.region.fire(HookPoint.POST_LOCK)
+        return result
 
     # -- sessions and tasks ---------------------------------------------------
 
@@ -345,18 +398,14 @@ class Monitor:
             return RejectionReason.OVERSIZE, f"{size} bytes exceeds region capacity {cap}"
         return None
 
-    def _check_gates(
-        self, digest: Digest, package: FirmwarePackage
+    def _authenticate(
+        self, manifest: Manifest, signature: Signature
     ) -> tuple[RejectionReason, str] | None:
-        """The gates after the size gate, in protocol order: the first one that
-        fails, as (reason, detail), or None when the image may be locked."""
-        manifest = package.manifest
-        if digest != manifest.firmware_hash:
-            return RejectionReason.HASH_MISMATCH, (
-                f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}"
-            )
-        payload = signing_payload(digest, canonical_bytes(manifest))
-        if not verify(self.store.anchor, payload, package.signature):
+        """Steps 3-6, which need the manifest and the signature alone, in
+        protocol order: the first that fails, as (reason, detail), or None
+        when the image may be read and checked against the manifest's hash."""
+        payload = signing_payload(manifest.firmware_hash, canonical_bytes(manifest))
+        if not verify(self.store.anchor, payload, signature):
             return RejectionReason.BAD_SIGNATURE, (
                 "signature does not verify against the provisioned anchor"
             )

@@ -15,9 +15,10 @@ import os
 import stat
 import struct
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .crypto import (
     SIGNATURE_SIZE,
@@ -248,38 +249,59 @@ def write_bundle(package: FirmwarePackage, path: str | Path) -> Path:
     return path
 
 
-def read_bundle(path: str | Path, *, max_firmware: int = DEFAULT_CAPACITY) -> FirmwarePackage:
-    """Read and validate a bundle written by write_bundle.
+_Part = tuple[int, bytes]  # (size, body) of one bundle part; see _read_file
+# what _open_directory and _open_container return: the manifest and signature
+# parts, the image's size, and a call that reads the image part up to a limit
+_Opened = tuple[_Part, _Part, int, Callable[[int], _Part]]
+
+
+def read_bundle(
+    path: str | Path,
+    *,
+    max_firmware: int = DEFAULT_CAPACITY,
+    check: Callable[[Manifest, Signature], None] | None = None,
+) -> FirmwarePackage:
+    """Read and validate a bundle written by write_bundle, image last.
 
     Every part's size is checked before its body is read: from fstat for a
-    directory bundle, from the length header for a .pkg container. An image
-    over max_firmware raises ImageTooLarge without being read, but only after
-    every container and manifest check has passed, so a malformed bundle
-    still fails as one. At most max_firmware + 1 image bytes are ever read.
+    directory bundle, from the length header for a .pkg container. The
+    manifest and the signature are read and parsed first. An image over
+    max_firmware then raises ImageTooLarge without being read, but only
+    after every container and manifest check has passed, so a malformed
+    bundle still fails as one. Next, check(manifest, signature) runs when
+    given: an exception it raises propagates with every file this call
+    opened closed, and the image is never read. Only then is the image read,
+    at most max_firmware + 1 bytes of it.
 
     The returned signature carries scheme=None (the file format has no scheme
     tag); manifest parsing is strict. Raises BundleError/ManifestError on any
     missing part or format violation.
     """
+    fds: list[int] = []
     try:
-        dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NONBLOCK)
-    except (FileNotFoundError, NotADirectoryError):
-        dir_fd = -1
-    if dir_fd >= 0:
-        firmware_size, firmware, manifest, signature = _read_directory(dir_fd, max_firmware)
-    else:
-        (firmware_size, firmware), manifest_part, signature_part = _read_container(
-            path, (max_firmware, MAX_MANIFEST_BYTES, SIGNATURE_SIZE)
-        )
+        try:
+            dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NONBLOCK)
+        except (FileNotFoundError, NotADirectoryError):
+            parts = _open_container(path, fds)
+        else:
+            fds.append(dir_fd)
+            parts = _open_directory(dir_fd, fds)
+        manifest_part, signature_part, firmware_size, read_firmware = parts
         manifest, signature = _parse_parts(manifest_part, signature_part)
-    if firmware_size > max_firmware:
-        raise ImageTooLarge(firmware_size, max_firmware, manifest)
+        if firmware_size <= max_firmware:
+            if check is not None:
+                check(manifest, signature)
+            # a directory image that grew after its fstat reads back over the bound
+            firmware_size, firmware = read_firmware(max_firmware)
+        if firmware_size > max_firmware:
+            raise ImageTooLarge(firmware_size, max_firmware, manifest)
+    finally:
+        for fd in fds:
+            os.close(fd)
     return FirmwarePackage(firmware, manifest, signature)
 
 
-def _parse_parts(
-    manifest_part: tuple[int, bytes], signature_part: tuple[int, bytes]
-) -> tuple[Manifest, Signature]:
+def _parse_parts(manifest_part: _Part, signature_part: _Part) -> tuple[Manifest, Signature]:
     """Check the (size, body) of the manifest and the signature, in that
     order, then parse the manifest."""
     manifest_size, manifest_raw = manifest_part
@@ -291,41 +313,35 @@ def _parse_parts(
     return parse_manifest(manifest_raw), Signature(signature_raw, None)
 
 
-def _read_directory(
-    dir_fd: int, max_firmware: int
-) -> tuple[int, bytes, Manifest, Signature]:
-    """(image size, image, manifest, signature) of the directory bundle open
-    at dir_fd; closes dir_fd and every part it opens. Each part is opened by
-    name relative to dir_fd, so all three come from one directory, and all
-    three are opened, firmware, manifest and signature in that order, before
-    any is read. O_NONBLOCK makes a FIFO named like a part open at once; it
-    then fails the S_ISREG check on the fstat that also gives the size, as a
+def _open_directory(dir_fd: int, fds: list[int]) -> _Opened:
+    """The directory bundle open at dir_fd, opened; every fd opened is
+    appended to fds, which the caller closes. Each part is opened by name
+    relative to dir_fd, so all three come from one directory, and all three
+    are opened, firmware, manifest and signature in that order, before any
+    is read. O_NONBLOCK makes a FIFO named like a part open at once; it then
+    fails the S_ISREG check on the fstat that also gives the size, as a
     directory does."""
-    fds = [dir_fd]
-    try:
-        parts = []
-        for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
-            try:
-                fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK, dir_fd=dir_fd)
-            except FileNotFoundError:
-                raise BundleError(name, "missing from bundle directory") from None
-            fds.append(fd)
-            st = os.fstat(fd)
-            if not stat.S_ISREG(st.st_mode):
-                raise BundleError(name, "missing from bundle directory")
-            parts.append((fd, st.st_size))
-        firmware_part, manifest_part, signature_part = parts
-        manifest, signature = _parse_parts(
-            _read_file(*manifest_part, MAX_MANIFEST_BYTES),
-            _read_file(*signature_part, SIGNATURE_SIZE),
-        )
-        return (*_read_file(*firmware_part, max_firmware), manifest, signature)
-    finally:
-        for fd in fds:
-            os.close(fd)
+    parts = []
+    for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
+        try:
+            fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK, dir_fd=dir_fd)
+        except FileNotFoundError:
+            raise BundleError(name, "missing from bundle directory") from None
+        fds.append(fd)
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise BundleError(name, "missing from bundle directory")
+        parts.append((fd, st.st_size))
+    (firmware_fd, firmware_size), manifest_part, signature_part = parts
+    return (
+        _read_file(*manifest_part, MAX_MANIFEST_BYTES),
+        _read_file(*signature_part, SIGNATURE_SIZE),
+        firmware_size,
+        partial(_read_file, firmware_fd, firmware_size),
+    )
 
 
-def _read_file(fd: int, size: int, limit: int) -> tuple[int, bytes]:
+def _read_file(fd: int, size: int, limit: int) -> _Part:
     """(size, body) of one open bundle file whose fstat gave size. A file
     over `limit` is not read (body b""). Otherwise it is read to its end or
     to one byte past `limit`, and the size is what was read, so a file that
@@ -347,43 +363,52 @@ def _read_file(fd: int, size: int, limit: int) -> tuple[int, bytes]:
     return total, b"".join(chunks)
 
 
-def _read_container(path: Path, limits: tuple[int, int, int]) -> list[tuple[int, bytes]]:
-    """(size, body) of each of the three sections of a .pkg container, each
-    body read straight from the file so the image is held once. The path is
-    opened once, with O_NONBLOCK, and a FIFO or other non-regular file fails
-    the fstat check, as a part in _read_directory does. Every length header
-    is checked against the bytes left in the file before its section is
-    read; a section over its limit is then skipped unread (body b"", size
-    from the header), which keeps the later sections' checks ahead of the
-    size checks."""
+def _open_container(path: str | Path, fds: list[int]) -> _Opened:
+    """The .pkg container at path, opened; every fd opened is appended to
+    fds, which the caller closes. The path is opened once, with O_NONBLOCK,
+    and a FIFO or other non-regular file fails the fstat check, as a part in
+    _open_directory does. Every length header is checked
+    against the bytes left in the file before the next is read, and the
+    file must end with the last section. Sections are then read where they
+    lie, with pread, so the image is held once and read last."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except (FileNotFoundError, NotADirectoryError):
         raise BundleError("bundle", f"no such bundle: {Path(path)}") from None
-    with open(fd, "rb") as fh:
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise BundleError("bundle", f"no such bundle: {Path(path)}")
-        size = st.st_size
-        if fh.read(len(PKG_MAGIC)) != PKG_MAGIC:
-            raise BundleError("container", "bad magic; not a firmware package container")
-        offset = len(PKG_MAGIC)
-        sections = []
-        for name, limit in zip((FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME), limits):
-            header = fh.read(_PKG_LEN.size) if size - offset >= _PKG_LEN.size else b""
-            if len(header) != _PKG_LEN.size:
-                raise BundleError(name, "container truncated in length header")
-            (length,) = _PKG_LEN.unpack(header)
-            offset += _PKG_LEN.size
-            if length > size - offset:
-                raise BundleError(name, "container truncated in section body")
-            if length > limit:
-                fh.seek(length, os.SEEK_CUR)
-                sections.append((length, b""))
-            else:
-                body = fh.read(length)
-                sections.append((len(body), body))
-            offset += length
-        if offset != size:
-            raise BundleError("container", f"{size - offset} trailing bytes")
-    return sections
+    fds.append(fd)
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        raise BundleError("bundle", f"no such bundle: {Path(path)}")
+    size = st.st_size
+    if os.pread(fd, len(PKG_MAGIC), 0) != PKG_MAGIC:
+        raise BundleError("container", "bad magic; not a firmware package container")
+    offset = len(PKG_MAGIC)
+    sections = []
+    for name in (FIRMWARE_NAME, MANIFEST_NAME, SIGNATURE_NAME):
+        header = os.pread(fd, _PKG_LEN.size, offset) if size - offset >= _PKG_LEN.size else b""
+        if len(header) != _PKG_LEN.size:
+            raise BundleError(name, "container truncated in length header")
+        (length,) = _PKG_LEN.unpack(header)
+        offset += _PKG_LEN.size
+        if length > size - offset:
+            raise BundleError(name, "container truncated in section body")
+        sections.append((fd, offset, length))
+        offset += length
+    if offset != size:
+        raise BundleError("container", f"{size - offset} trailing bytes")
+    firmware, manifest, signature = sections
+    return (
+        _read_section(*manifest, MAX_MANIFEST_BYTES),
+        _read_section(*signature, SIGNATURE_SIZE),
+        firmware[2],
+        partial(_read_section, *firmware),
+    )
+
+
+def _read_section(fd: int, offset: int, length: int, limit: int) -> _Part:
+    """(size, body) of the .pkg section of `length` bytes at offset: a
+    section over `limit` is not read (body b"", size from the header)."""
+    if length > limit:
+        return length, b""
+    body = os.pread(fd, length, offset)
+    return len(body), body

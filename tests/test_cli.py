@@ -662,14 +662,19 @@ class TestProcessExit:
         return run_fresh("-m", "faarm", "verify", str(bundle),
                          "--state", str(workshop["state"]), "--json", *extra, **options)
 
-    def test_verify_json_through_a_pipe_is_complete(self, workshop):
-        flipped = workshop["tmp"] / "flipped"
-        shutil.copytree(workshop["bundle"], flipped)
-        raw = bytearray((flipped / "firmware.bin").read_bytes())
-        raw[0] ^= 0x01
-        (flipped / "firmware.bin").write_bytes(bytes(raw))
+    def test_verify_json_through_a_pipe_is_complete(self, cli, workshop):
+        cli("sign", "--firmware", str(workshop["fw"]), "--version", "2",
+            "--key", str(workshop["key"]), "--out", str(workshop["tmp"] / "bundle2"))
+        # a flipped image byte under a newer version fails the hash; under the
+        # version already accepted, the rollback gate refuses it first
+        flipped, stale = workshop["tmp"] / "flipped", workshop["tmp"] / "stale"
+        for copy, source in ((flipped, workshop["tmp"] / "bundle2"), (stale, workshop["bundle"])):
+            shutil.copytree(source, copy)
+            raw = bytearray((copy / "firmware.bin").read_bytes())
+            raw[0] ^= 0x01
+            (copy / "firmware.bin").write_bytes(bytes(raw))
         runs = [(workshop["bundle"], (), 0, None), (workshop["bundle"], (), 12, "rollback"),
-                (flipped, (), 11, "hash-mismatch"),
+                (flipped, (), 11, "hash-mismatch"), (stale, (), 12, "rollback"),
                 (workshop["bundle"], ("--capacity", "1KiB"), 16, "oversize")]
         for bundle, extra, code, reason in runs:
             done = self.verify(workshop, bundle, *extra)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import sys
 import threading
@@ -285,6 +286,24 @@ class TestVerifyCache:
             assert len(verify_calls) == before + 1
         assert verify(pair.public, b"payload", sig) is True
         assert len(verify_calls) == 5
+
+    def test_the_entry_is_keyed_on_the_key_file_bytes_built_with_the_key(
+        self, scheme, verify_calls
+    ):
+        pair = keygen(scheme, seed=30, allow_seeded=True)
+        key = PublicKey.from_file_bytes(pair.public.to_file_bytes())
+        tag = {SignatureScheme.ECDSA_P256: 0x01, SignatureScheme.ED25519: 0x02}[scheme]
+        assert key.to_file_bytes() == bytes([tag]) + key.data
+        # the stored encoding takes no part in identity
+        assert key == pair.public and hash(key) == hash((key.scheme, key.data))
+        assert repr(key) == f"PublicKey(scheme={key.scheme!r}, data={key.data!r})"
+        sig = sign(pair, b"payload")
+        # verify() never encodes the key again: the scheme's tag is not looked up
+        with mock.patch.object(SignatureScheme, "tag", new_callable=mock.PropertyMock,
+                               side_effect=AssertionError):
+            assert verify(key, b"payload", sig) is True
+        entry = hashlib.sha256(bytes([tag]) + key.data + sig.data + b"payload").digest()
+        assert list(crypto._verified) == [entry]
 
     def test_mutating_a_payload_buffer_changes_no_later_answer(self, scheme, verify_calls):
         pair = keygen(scheme, seed=29, allow_seeded=True)

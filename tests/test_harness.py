@@ -240,6 +240,14 @@ class TestMatrix:
             Scenario(kind=kind, mode=mode, **fields) for mode in LoaderMode
         ]
 
+    def test_kinds_and_modes_may_be_generators(self):
+        kinds = (ScenarioKind.SIGNED_GOOD, ScenarioKind.UNSIGNED_LOAD)
+        reports = run_matrix(kinds=(k for k in kinds), modes=(m for m in LoaderMode),
+                             trials=1, firmware_size=512)
+        assert [(r.scenario.kind, r.scenario.mode) for r in reports] == [
+            (kind, mode) for kind in kinds for mode in LoaderMode
+        ]
+
     def test_readme_matrix_is_the_rendered_layout(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
         start = readme.index("$ faarm attack --trials 50") + 1

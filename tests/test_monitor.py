@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import os
 import tempfile
 import time
@@ -115,6 +116,37 @@ class TestAcceptPath:
             hashed.clear()
             assert env.monitor.verify_and_lock(env.package(image, version)).accepted
             assert hashed == [len(image)]
+
+
+# The faults a bundle can carry, in the order the monitor's gates find them.
+# A bundle with several faults rejects at the earliest.
+GATE_ORDER = (
+    ("oversize", RejectionReason.OVERSIZE),
+    ("zeroed-signature", RejectionReason.BAD_SIGNATURE),
+    ("wrong-mcu-id", RejectionReason.MALFORMED_BUNDLE),
+    ("old-version", RejectionReason.ROLLBACK),
+    ("unknown-flag", RejectionReason.UNKNOWN_FLAG),
+    ("tampered-image", RejectionReason.HASH_MISMATCH),
+)
+
+
+def faulty_package(env, faults):
+    """A package for a region of capacity len(FW) that holds version 5:
+    version 6 of FW[::-1], signed by env's key, with each fault that
+    `faults`, a set of GATE_ORDER's names, holds; an empty set gives a
+    bundle that loads."""
+    image = FW * 2 if "oversize" in faults else FW[::-1]
+    kwargs = {}
+    if "wrong-mcu-id" in faults:
+        kwargs["mcu_id"] = "SOME-OTHER-MCU"
+    if "unknown-flag" in faults:
+        kwargs["flags"] = (FLAG_REQUIRES_LOCK, "debug_unlock")
+    pkg = env.package(image, 1 if "old-version" in faults else 6, **kwargs)
+    if "tampered-image" in faults:
+        pkg = pkg._replace(firmware=bytes([image[0] ^ 1]) + image[1:])
+    if "zeroed-signature" in faults:
+        pkg = pkg._replace(signature=Signature(bytes(64)))
+    return pkg
 
 
 class TestRejections:
@@ -268,13 +300,21 @@ class TestRejections:
         assert rejects[0].reason == "bad-signature"
         assert AuditEvent.LOCK not in [r.event for r in records]
 
-    def test_hash_checked_before_signature(self, env):
-        # both hash and signature are wrong; hash-mismatch must win the order
-        pkg = env.package(FW, 1)
-        flipped = bytes([FW[0] ^ 0x01]) + FW[1:]
-        evil = FirmwarePackage(flipped, pkg.manifest, Signature(bytes(64)))
-        result = env.monitor.verify_and_lock(evil)
-        assert result.reason is RejectionReason.HASH_MISMATCH
+    @pytest.mark.parametrize("entry", ["verify_and_lock", "bundle", "bundle.pkg"])
+    @pytest.mark.parametrize("faults", [
+        faults for n in (1, 2) for faults in itertools.combinations(GATE_ORDER, n)
+    ], ids=lambda faults: "+".join(fault for fault, _ in faults))
+    def test_the_earliest_gate_in_gate_order_wins(self, make_env, tmp_path, faults, entry):
+        env = make_env(capacity=len(FW))
+        assert env.monitor.verify_and_lock(env.package(FW, 5)).accepted
+        pkg = faulty_package(env, {fault for fault, _ in faults})
+        if entry == "verify_and_lock":
+            result = env.monitor.verify_and_lock(pkg)
+        else:
+            result = env.monitor.verify_bundle(write_bundle(pkg, tmp_path / entry))
+        assert result.reason is faults[0][1]
+        assert env.store.nv_counter == 5
+        assert env.region.read() == FW
 
     def test_signature_checked_before_rollback(self, env):
         env.monitor.verify_and_lock(env.package(FW, 5))
@@ -456,6 +496,94 @@ class TestVerifyBundle:
         result = env.monitor.verify_bundle(path)
         assert result.reason is RejectionReason.MALFORMED_BUNDLE
         assert AuditEvent.VERIFY_REJECT in events_of(env)
+
+
+def image_bytes_read(monkeypatch, bundle, image_size):
+    """Wrap os.read and os.pread as faarm.packaging calls them. Returns a
+    list that gets, for each read of the file that holds the bundle's image,
+    how many of the bytes it returned belong to the image."""
+    if bundle.suffix == ".pkg":  # the image section comes first, after its header
+        inode, start = bundle.stat().st_ino, len(packaging.PKG_MAGIC) + 8
+    else:
+        inode, start = (bundle / "firmware.bin").stat().st_ino, 0
+    end = start + image_size
+    counted = []
+    real_read, real_pread = os.read, os.pread
+
+    def count(fd, offset, data):
+        if os.fstat(fd).st_ino == inode:
+            counted.append(max(0, min(offset + len(data), end) - max(offset, start)))
+        return data
+
+    def read(fd, n):
+        offset = os.lseek(fd, 0, os.SEEK_CUR)
+        return count(fd, offset, real_read(fd, n))
+
+    monkeypatch.setattr(packaging.os, "read", read)
+    monkeypatch.setattr(packaging.os, "pread",
+                        lambda fd, n, offset: count(fd, offset, real_pread(fd, n, offset)))
+    return counted
+
+
+class TestManifestGatesFirst:
+    @pytest.mark.parametrize("kind", ["bundle", "bundle.pkg"])
+    @pytest.mark.parametrize("fault, reason", [
+        ("zeroed-signature", RejectionReason.BAD_SIGNATURE),
+        ("wrong-mcu-id", RejectionReason.MALFORMED_BUNDLE),
+        ("old-version", RejectionReason.ROLLBACK),
+        ("unknown-flag", RejectionReason.UNKNOWN_FLAG),
+        (None, None),
+    ], ids=lambda v: getattr(v, "value", v or "accepted"))
+    def test_a_refused_statement_has_no_image_byte_read_or_hashed(
+        self, make_env, tmp_path, monkeypatch, fault, reason, kind
+    ):
+        env = make_env(capacity=len(FW))
+        assert env.monitor.verify_and_lock(env.package(FW, 5)).accepted
+        path = write_bundle(faulty_package(env, {fault} - {None}), tmp_path / kind)
+        read = image_bytes_read(monkeypatch, path, len(FW))
+        hashed = []
+
+        def counting_hash(data):
+            hashed.append(len(data))
+            return hash_data(data)
+
+        monkeypatch.setattr(faarm.monitor, "hash_data", counting_hash)
+        result = env.monitor.verify_bundle(path)
+        assert result.reason is reason
+        if reason is None:  # the wrapper sees the image of a bundle that loads
+            assert (sum(read), hashed) == (len(FW), [len(FW)])
+        else:
+            assert (sum(read), hashed) == (0, [])
+            assert env.region.read() == FW
+
+    @pytest.mark.parametrize("kind", ["bundle", "bundle.pkg"])
+    def test_an_image_swapped_after_the_signature_gate_is_hash_mismatch(
+        self, env, tmp_path, monkeypatch, kind
+    ):
+        assert env.monitor.verify_and_lock(env.package(FW, 1)).accepted
+        path = write_bundle(env.package(FW[::-1], 2), tmp_path / kind)
+        image_file, offset = ((path, len(packaging.PKG_MAGIC) + 8) if kind == "bundle.pkg"
+                              else (path / "firmware.bin", 0))
+        swapped = bytes(len(FW))
+        verify = faarm.monitor.verify
+
+        def verify_then_swap(*args):
+            valid = verify(*args)
+            with open(image_file, "r+b") as fh:  # in place: the reader's fd sees it
+                fh.seek(offset)
+                fh.write(swapped)
+            return valid
+
+        monkeypatch.setattr(faarm.monitor, "verify", verify_then_swap)
+        rejects_before = events_of(env).count(AuditEvent.VERIFY_REJECT)
+        result = env.monitor.verify_bundle(path)
+        assert result.reason is RejectionReason.HASH_MISMATCH
+        assert result.detail == (f"firmware hashes to {hash_data(swapped).hex}, "
+                                 f"manifest says {hash_data(FW[::-1]).hex}")
+        assert env.region.read() == FW
+        assert env.region.lock_state is LockState.LOCKED
+        assert env.store.nv_counter == 1
+        assert events_of(env).count(AuditEvent.VERIFY_REJECT) == rejects_before + 1
 
 
 class TestToctouClosure:
