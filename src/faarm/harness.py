@@ -32,14 +32,7 @@ from typing import Iterable, Sequence
 
 from . import crypto
 from .crypto import KeyPair, Signature, SignatureScheme, hash_data, keygen
-from .mcu import (
-    DEFAULT_CAPACITY,
-    DEFAULT_NOMINAL_INIT_MS,
-    HookPoint,
-    LockMode,
-    McuRegion,
-    WriteOutcome,
-)
+from .mcu import DEFAULT_CAPACITY, HookPoint, LockMode, McuRegion, WriteOutcome
 from .monitor import STAGES, Monitor, StageTimings, VerifyResult
 from .packaging import (
     DEFAULT_MCU_ID,
@@ -51,6 +44,8 @@ from .packaging import (
 from .state import AuditEvent, SecureStateStore, read_audit
 
 HARNESS_TIMESTAMP = "2025-01-01T00:00:00Z"
+# nominal MCU firmware initialisation time that bench overheads are quoted against
+DEFAULT_NOMINAL_INIT_MS = 100.0
 
 # Reference prototype timings used for side-by-side comparison in bench
 # output; desk measurements are hardware-dependent and are compared only at
@@ -137,6 +132,18 @@ class LatencyStats:
         return cls(mean, std, len(samples))
 
 
+def _stage_stats(timings: Sequence[StageTimings]) -> dict[str, LatencyStats]:
+    """Each stage's latency statistics over a run's loads, in stage order."""
+    return {stage: LatencyStats.from_samples([t[i] for t in timings])
+            for i, stage in enumerate(STAGES)}
+
+
+def _latency_ms(timings: Sequence[StageTimings]) -> dict:
+    """The latency_ms block of a report's JSON."""
+    return {stage: {"mean": s.mean_ms, "std": s.std_ms, "count": s.count}
+            for stage, s in _stage_stats(timings).items()}
+
+
 @dataclass
 class ScenarioReport:
     scenario: Scenario
@@ -160,12 +167,6 @@ class ScenarioReport:
         counts: Counter[str] = Counter(t.reason for t in self.trials if t.reason)
         return dict(sorted(counts.items()))
 
-    def latency_stats(self) -> dict[str, LatencyStats]:
-        return {
-            stage: LatencyStats.from_samples([t.timings[i] for t in self.trials])
-            for i, stage in enumerate(STAGES)
-        }
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario.kind.value,
@@ -181,10 +182,7 @@ class ScenarioReport:
             "reasons": self.reason_histogram(),
             "audit_counts": dict(sorted(self.audit_counts.items())),
             "infra_failures": list(self.infra_failures),
-            "latency_ms": {
-                stage: {"mean": stats.mean_ms, "std": stats.std_ms, "count": stats.count}
-                for stage, stats in self.latency_stats().items()
-            },
+            "latency_ms": _latency_ms([t.timings for t in self.trials]),
         }
 
 
@@ -413,22 +411,20 @@ class BenchResult:
     seed: int
     scheme: SignatureScheme
     lock_mode: LockMode
-    nominal_init_ms: float
-    samples: dict[str, list[float]]
+    timings: list[StageTimings]  # one per measured load, warmup excluded
 
     def stats(self) -> dict[str, LatencyStats]:
-        return {stage: LatencyStats.from_samples(s) for stage, s in self.samples.items()}
+        return _stage_stats(self.timings)
 
     @property
     def overhead_pct(self) -> float:
-        return self.stats()["total"].mean_ms / self.nominal_init_ms * 100.0
+        return self.stats()["total"].mean_ms / DEFAULT_NOMINAL_INIT_MS * 100.0
 
     @property
     def reference_overhead_pct(self) -> float:
         return REFERENCE_LATENCY_MS["total_mean_ms"] / DEFAULT_NOMINAL_INIT_MS * 100.0
 
     def to_dict(self) -> dict:
-        stats = self.stats()
         return {
             "firmware_size": self.firmware_size,
             "runs": self.runs,
@@ -436,12 +432,9 @@ class BenchResult:
             "seed": self.seed,
             "scheme": self.scheme.value,
             "lock_mode": self.lock_mode.value,
-            "nominal_init_ms": self.nominal_init_ms,
+            "nominal_init_ms": DEFAULT_NOMINAL_INIT_MS,
             "overhead_pct": self.overhead_pct,
-            "latency_ms": {
-                stage: {"mean": s.mean_ms, "std": s.std_ms, "count": s.count}
-                for stage, s in stats.items()
-            },
+            "latency_ms": _latency_ms(self.timings),
             "reference": dict(REFERENCE_LATENCY_MS),
             "reference_overhead_pct": self.reference_overhead_pct,
         }
@@ -455,7 +448,6 @@ def run_bench(
     seed: int = 0,
     scheme: SignatureScheme = SignatureScheme.ECDSA_P256,
     lock_mode: LockMode = LockMode.HARDWARE_WP,
-    nominal_init_ms: float = DEFAULT_NOMINAL_INIT_MS,
 ) -> BenchResult:
     """Measure verify/lock/total stage latencies over `runs` accepted loads of
     fresh images, after `warmup` excluded runs; one monitor serves all runs
@@ -464,7 +456,7 @@ def run_bench(
     if runs < 1:
         raise HarnessError("runs must be >= 1")
     rng = random.Random(_trial_seed(seed, ScenarioKind.SIGNED_GOOD, LoaderMode.FAARM, 0))
-    samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    timings: list[StageTimings] = []
     with tempfile.TemporaryDirectory(prefix="faarm-bench-") as tmp:
         state_dir = Path(tmp) / "state"
         key = keygen(scheme, seed=rng.getrandbits(64), allow_seeded=True)
@@ -482,51 +474,48 @@ def run_bench(
                 if not result.accepted:
                     raise HarnessError(f"bench load rejected: {result.reason}")
                 if run >= warmup:
-                    for stage, ms in result.timings.by_stage().items():
-                        samples[stage].append(ms)
+                    timings.append(result.timings)
         finally:
             store.close()
     return BenchResult(
         firmware_size=firmware_size, runs=runs, warmup=warmup, seed=seed,
-        scheme=scheme, lock_mode=lock_mode, nominal_init_ms=nominal_init_ms,
-        samples=samples,
+        scheme=scheme, lock_mode=lock_mode, timings=timings,
     )
 
 
 # -- rendering -----------------------------------------------------------------
 
 
+def _envelope(key: str, value, config: dict | None) -> str:
+    return json.dumps({"config": config or {}, key: value}, indent=2, sort_keys=True) + "\n"
+
+
 def reports_to_json(reports: Sequence[ScenarioReport], *, config: dict | None = None) -> str:
-    payload = {
-        "config": config or {},
-        "scenarios": [r.to_dict() for r in reports],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _envelope("scenarios", [r.to_dict() for r in reports], config)
 
 
 def bench_to_json(result: BenchResult, *, config: dict | None = None) -> str:
-    return json.dumps(
-        {"config": config or {}, "bench": result.to_dict()}, indent=2, sort_keys=True
-    ) + "\n"
+    return _envelope("bench", result.to_dict(), config)
+
+
+def _timings_csv(key_fields: tuple[str, ...], rows: Iterable[tuple[tuple, StageTimings]]) -> str:
+    """One CSV line per load: its key fields, then its stage timings."""
+    out = StringIO()
+    out.write(",".join((*key_fields, *StageTimings._fields)) + "\n")
+    for keys, timings in rows:
+        out.write(",".join((*map(str, keys), *(f"{ms:.6f}" for ms in timings))) + "\n")
+    return out.getvalue()
 
 
 def latency_csv(reports: Sequence[ScenarioReport]) -> str:
-    out = StringIO()
-    out.write(",".join(("scenario", "mode", "trial", *StageTimings._fields)) + "\n")
-    for report in reports:
-        kind, mode = report.scenario.kind.value, report.scenario.mode.value
-        for t in report.trials:
-            cells = ",".join(f"{ms:.6f}" for ms in t.timings)
-            out.write(f"{kind},{mode},{t.index},{cells}\n")
-    return out.getvalue()
+    return _timings_csv(("scenario", "mode", "trial"), (
+        ((r.scenario.kind.value, r.scenario.mode.value, t.index), t.timings)
+        for r in reports for t in r.trials
+    ))
 
 
 def bench_csv(result: BenchResult) -> str:
-    out = StringIO()
-    out.write(",".join(("run", *StageTimings._fields)) + "\n")
-    for i, timings in enumerate(zip(*(result.samples[stage] for stage in STAGES))):
-        out.write(f"{i}," + ",".join(f"{ms:.6f}" for ms in timings) + "\n")
-    return out.getvalue()
+    return _timings_csv(("run",), (((i,), t) for i, t in enumerate(result.timings)))
 
 
 def _outcome_cell(report: ScenarioReport) -> str:
@@ -606,7 +595,7 @@ def render_bench(result: BenchResult) -> str:
             f"   {ref[f'{stage}_mean_ms']:5.2f} +/- {ref[f'{stage}_std_ms']:4.2f} ms\n"
         )
     out.write(
-        f"\n  overhead vs {result.nominal_init_ms:.0f} ms nominal init: "
+        f"\n  overhead vs {DEFAULT_NOMINAL_INIT_MS:.0f} ms nominal init: "
         f"{result.overhead_pct:.2f}% measured, "
         f"{result.reference_overhead_pct:.2f}% reference\n"
     )

@@ -28,8 +28,6 @@ from typing import Callable, Iterator, NamedTuple
 from .crypto import Digest, hash_data
 
 DEFAULT_CAPACITY = 4 * 1024 * 1024
-# nominal MCU firmware initialisation time that bench overheads are quoted against
-DEFAULT_NOMINAL_INIT_MS = 100.0
 
 
 class RegionError(Exception):

@@ -28,8 +28,9 @@ and cuts off a torn last line, appending a RECOVER record for each repair.
 A failed write or fsync closes the store for good, since what reached the
 disk is then unknown: only a new load() repairs the files and writes again.
 The read-only readers never write: they leave a torn last line out, and
-tools.torn_tail_bytes reports its length. _lines_backwards, which the tail
-readers in tools share, and _lines_forwards split lines as splitlines() does.
+torn_tail_bytes reports its length. load() and the tail readers find that
+tail through _whole_lines_backwards alone; _lines_backwards and
+_lines_forwards split lines as splitlines() does.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import threading
 import time
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring as _quote  # json's own C string quoting
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -460,8 +462,33 @@ def read_state(path: str | Path) -> tuple[PublicKey, int]:
 def read_audit(path: str | Path) -> list[AuditRecord]:
     """Every whole record of the audit log, oldest first. Bytes after the
     last line end (a torn write, which the next load() cuts off) are left
-    out; tools.torn_tail_bytes() gives their length."""
+    out; torn_tail_bytes() gives their length."""
     return [AuditRecord.from_line(line) for line in _lines_forwards(Path(path) / AUDIT_NAME) if line]
+
+
+def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
+    """The last n whole records of the audit log, oldest first, without
+    reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
+    if n <= 0:
+        return []
+    _, lines = _whole_lines_backwards(Path(path) / AUDIT_NAME)
+    # parsed oldest first, as read_audit parses, so the oldest bad line raises
+    return [AuditRecord.from_line(line) for line in list(islice(lines, n))[::-1]]
+
+
+def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
+    """The whole records of the audit log, newest first, read backwards only
+    as far as the caller iterates; a torn tail is left out."""
+    _, lines = _whole_lines_backwards(Path(path) / AUDIT_NAME)
+    for line in lines:
+        yield AuditRecord.from_line(line)
+
+
+def torn_tail_bytes(path: str | Path) -> int:
+    """The length of the unterminated bytes after the last line end of the
+    audit log, which the readers leave out and the next load() cuts off;
+    0 when the log ends in a line end or is missing."""
+    return _whole_lines_backwards(Path(path) / AUDIT_NAME)[0]
 
 
 def check_audit_chain(path: str | Path) -> int:
@@ -578,12 +605,20 @@ def _scan_audit_tail(audit_path: Path) -> tuple[AuditRecord | None, str, int]:
     """The last whole record of the audit log with its line hash, or (None,
     GENESIS_HASH) when there is none, and the length of the unterminated
     bytes after it (0 when the log ends in a line end or is missing)."""
-    lines = _lines_backwards(audit_path)
-    torn = len(next(lines))
-    line = next(filter(None, lines), None)
+    torn, lines = _whole_lines_backwards(audit_path)
+    line = next(lines, None)
     if line is None:
         return None, GENESIS_HASH, torn
     return AuditRecord.from_line(line), _line_hash(line), torn
+
+
+def _whole_lines_backwards(audit_path: Path) -> tuple[int, Iterator[bytes]]:
+    """The length of the torn tail of the audit log, and its whole lines,
+    newest first and blank ones skipped, read only as far as the caller
+    iterates. The log is opened here, at once; dropping the iterator closes
+    it."""
+    lines = _lines_backwards(audit_path)
+    return len(next(lines)), filter(None, lines)
 
 
 def _lines_forwards(audit_path: Path) -> Iterator[bytes]:

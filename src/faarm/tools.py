@@ -14,13 +14,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 from .cli import EXIT_INTEGRITY, EXIT_OK, CliError, _add_state_arg, _state_dir, parse_size
 from .crypto import Digest, KeyPair, PublicKey, SignatureScheme, keygen
-from .mcu import DEFAULT_NOMINAL_INIT_MS, LockMode, McuRegion, WriteOutcome
+from .mcu import LockMode, McuRegion, WriteOutcome
 from .monitor import Monitor, MonitorStatus, Phase, ReplayError, replay_protocol_invariants
 from .packaging import (
     DEFAULT_MCU_ID,
@@ -30,49 +28,19 @@ from .packaging import (
     write_bundle,
 )
 from .state import (
-    AUDIT_NAME,
     AuditEvent,
-    AuditRecord,
     SecureStateStore,
-    _lines_backwards,
+    iter_audit_backwards,
     read_audit,
+    read_audit_tail,
     read_state,
+    torn_tail_bytes,
     walk_audit_chain,
 )
 
 
-# -- read-only audit log readers ------------------------------------------------
-#
-# They read the log from its end through state._lines_backwards, only as far
-# as status and log -n need, and never write: a torn last line is left out
-# and its length reported.
-
-
-def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
-    """The last n whole records of the audit log, oldest first, without
-    reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
-    if n <= 0:
-        return []
-    lines = _lines_backwards(Path(path) / AUDIT_NAME)
-    next(lines)  # the torn tail
-    # parsed oldest first, as read_audit parses, so the oldest bad line raises
-    return [AuditRecord.from_line(line) for line in list(islice(filter(None, lines), n))[::-1]]
-
-
-def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
-    """The whole records of the audit log, newest first, read backwards only
-    as far as the caller iterates; a torn tail is left out."""
-    lines = _lines_backwards(Path(path) / AUDIT_NAME)
-    next(lines)  # the torn tail
-    for line in filter(None, lines):
-        yield AuditRecord.from_line(line)
-
-
-def torn_tail_bytes(path: str | Path) -> int:
-    """The length of the unterminated bytes after the last line end of the
-    audit log, which the readers leave out and the next load() cuts off;
-    0 when the log ends in a line end or is missing."""
-    return len(next(_lines_backwards(Path(path) / AUDIT_NAME)))
+# status and log read the audit log through state's readers, which alone know
+# where its torn tail begins; nothing here writes.
 
 
 def derive_status(state_dir: str | Path) -> MonitorStatus:
@@ -112,6 +80,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(key_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     with os.fdopen(fd, "wb") as fh:
+        os.fchmod(fd, 0o600)  # open's mode applies only to a file it creates
         fh.write(pair.to_file_bytes())
     pub_path.write_bytes(pair.public.to_file_bytes())
     print(f"wrote {key_path} (private) and {pub_path} (public), scheme {scheme.value}")
@@ -121,9 +90,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 def cmd_sign(args: argparse.Namespace) -> int:
     firmware = Path(args.firmware).read_bytes()
     pair = KeyPair.from_file_bytes(Path(args.key).read_bytes())
-    flags = tuple(args.flag) if args.flag else (FLAG_REQUIRES_LOCK,)
-    if args.no_flags:
-        flags = ()
+    flags = () if args.no_flags else tuple(args.flag or (FLAG_REQUIRES_LOCK,))
     package = build_package(
         firmware,
         version=args.version,
@@ -296,7 +263,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
             scheme=SignatureScheme.from_name(args.scheme),
             lock_mode=LockMode(args.lock_mode),
-            nominal_init_ms=args.nominal_init_ms,
         )
     except harness.HarnessError as exc:
         raise CliError(str(exc)) from None
@@ -403,9 +369,10 @@ def _sign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--firmware", required=True)
     p.add_argument("--version", required=True, type=int)
     p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
-    p.add_argument("--flag", action="append", default=None,
-                   help=f"manifest flag (repeatable; default {FLAG_REQUIRES_LOCK})")
-    p.add_argument("--no-flags", action="store_true", help="emit an empty flag set")
+    flags = p.add_mutually_exclusive_group()
+    flags.add_argument("--flag", action="append", default=None,
+                       help=f"manifest flag (repeatable; default {FLAG_REQUIRES_LOCK})")
+    flags.add_argument("--no-flags", action="store_true", help="emit an empty flag set")
     p.add_argument("--timestamp", default=None, help="RFC-3339 UTC instant (default: now)")
     p.add_argument("--key", required=True, help="vendor private key file")
     p.add_argument("--out", required=True,
@@ -465,7 +432,6 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
                    default=SignatureScheme.ECDSA_P256.value)
     p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
                    default=LockMode.HARDWARE_WP.value)
-    p.add_argument("--nominal-init-ms", type=float, default=DEFAULT_NOMINAL_INIT_MS)
     p.add_argument("--csv", default=None, help="write raw latency samples here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)

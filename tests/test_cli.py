@@ -88,6 +88,14 @@ class TestKeygen:
         assert pub[0] == 0x01 and len(pub) == 34
         assert pub[1] in (0x02, 0x03)
 
+    def test_force_leaves_the_new_private_key_owner_only(self, cli, tmp_path):
+        key = tmp_path / "v.key"
+        key.write_bytes(b"old")
+        key.chmod(0o644)
+        cli("keygen", "ed25519", "--out", str(tmp_path / "v"), "--force")
+        assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
+        assert key.read_bytes() != b"old"
+
     def test_refuses_overwrite_without_force(self, cli, tmp_path):
         cli("keygen", "ed25519", "--out", str(tmp_path / "k"))
         out = cli("keygen", "ed25519", "--out", str(tmp_path / "k"), expect=2)
@@ -151,6 +159,16 @@ class TestSignVerify:
         out = cli("verify", str(workshop["tmp"] / "flagged"),
                   "--state", str(workshop["state"]), expect=13)
         assert "unknown-flag" in out.err
+
+    def test_flag_and_no_flags_together_are_refused(self, capsys, workshop):
+        out = workshop["tmp"] / "both"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sign", "--firmware", str(workshop["fw"]), "--version", "2",
+                  "--key", str(workshop["key"]), "--out", str(out),
+                  "--flag", "requires_lock", "--no-flags"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_exits_15(self, cli, workshop):
         (workshop["bundle"] / "manifest.json").unlink()
@@ -649,8 +667,6 @@ class TestFreshProcess:
         assert scenario.choices == [k.value for k in harness.ScenarioKind]
         for name in ("sign", "verify", "demo"):
             assert subcommand(name).get_default("mcu_id") == harness.DEFAULT_MCU_ID
-        bench = subcommand("bench")
-        assert bench.get_default("nominal_init_ms") == harness.DEFAULT_NOMINAL_INIT_MS
 
 
 class TestProcessExit:

@@ -282,8 +282,7 @@ class TestMatrix:
 class TestBench:
     def test_sample_counts_exclude_warmup(self):
         result = run_bench(firmware_size=4096, runs=5, warmup=2)
-        for stage in ("verify", "lock", "total"):
-            assert len(result.samples[stage]) == 5
+        assert len(result.timings) == 5
         stats = result.stats()
         assert stats["total"].count == 5
         assert stats["total"].mean_ms > 0

@@ -316,13 +316,6 @@ class TestRejections:
         assert env.store.nv_counter == 5
         assert env.region.read() == FW
 
-    def test_signature_checked_before_rollback(self, env):
-        env.monitor.verify_and_lock(env.package(FW, 5))
-        pkg = env.package(FW[::-1], 1)
-        evil = FirmwarePackage(pkg.firmware, pkg.manifest, Signature(bytes(64)))
-        result = env.monitor.verify_and_lock(evil)
-        assert result.reason is RejectionReason.BAD_SIGNATURE
-
     @pytest.mark.parametrize("entry", ["verify_and_lock", "bundle", "bundle.pkg"])
     @pytest.mark.parametrize("fault, own_reason", [
         ("tampered-image", RejectionReason.HASH_MISMATCH),

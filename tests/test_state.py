@@ -23,10 +23,12 @@ from faarm.state import (
     StateError,
     StateLockError,
     check_audit_chain,
+    iter_audit_backwards,
     read_audit,
+    read_audit_tail,
     read_state,
+    torn_tail_bytes,
 )
-from faarm.tools import iter_audit_backwards, read_audit_tail, torn_tail_bytes
 
 from conftest import traced_peak
 
