@@ -455,6 +455,8 @@ def run_bench(
     emptied first, so every load pays a full signature check."""
     if runs < 1:
         raise HarnessError("runs must be >= 1")
+    if warmup < 0:
+        raise HarnessError("warmup must be >= 0")
     rng = random.Random(_trial_seed(seed, ScenarioKind.SIGNED_GOOD, LoaderMode.FAARM, 0))
     timings: list[StageTimings] = []
     with tempfile.TemporaryDirectory(prefix="faarm-bench-") as tmp:

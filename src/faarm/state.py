@@ -28,9 +28,11 @@ and cuts off a torn last line, appending a RECOVER record for each repair.
 A failed write or fsync closes the store for good, since what reached the
 disk is then unknown: only a new load() repairs the files and writes again.
 The read-only readers never write: they leave a torn last line out, and
-torn_tail_bytes reports its length. load() and the tail readers find that
-tail through _whole_lines_backwards alone; _lines_backwards and
-_lines_forwards split lines as splitlines() does.
+torn_tail_bytes reports its length. Only _open_audit finds that tail, by a
+scan back from the end that holds one block; every reader, load() included,
+reads the whole lines below it through _lines_forwards or _lines_backwards.
+A state file that is not a regular file (a FIFO, say) is refused with
+StateError, never waited on.
 """
 
 from __future__ import annotations
@@ -38,16 +40,19 @@ from __future__ import annotations
 import fcntl
 import functools
 import hashlib
+import io
 import json
 import os
+import stat
 import threading
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import islice
 from json.encoder import encode_basestring as _quote  # json's own C string quoting
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 from .crypto import PublicKey
 
@@ -57,6 +62,8 @@ AUDIT_NAME = "audit.log"
 LOCK_NAME = "lock"
 GENESIS_HASH = "0" * 64
 _TAIL_BLOCK = 64 * 1024  # bytes per step when reading the audit log, either way
+_SCAN_CAP = 256 * 1024  # the largest step of the scan for the log's last line end
+_STATE_LIMIT = 4096  # bytes of state.json read; its one anchor takes under 100
 _SLOT_SIZE = 64  # bytes per counter slot; the counter file holds two
 _SLOT_DIGITS = 20
 _CHECK_HEX = _SLOT_SIZE - _SLOT_DIGITS - 2  # what the space and the line end leave
@@ -463,7 +470,9 @@ def read_audit(path: str | Path) -> list[AuditRecord]:
     """Every whole record of the audit log, oldest first. Bytes after the
     last line end (a torn write, which the next load() cuts off) are left
     out; torn_tail_bytes() gives their length."""
-    return [AuditRecord.from_line(line) for line in _lines_forwards(Path(path) / AUDIT_NAME) if line]
+    fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
+    with fh:
+        return [AuditRecord.from_line(line) for line in _lines_forwards(fh, end) if line]
 
 
 def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
@@ -471,24 +480,36 @@ def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
     reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
     if n <= 0:
         return []
-    _, lines = _whole_lines_backwards(Path(path) / AUDIT_NAME)
+    fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
+    with fh:
+        tail = list(islice(filter(None, _lines_backwards(fh, end)), n))
     # parsed oldest first, as read_audit parses, so the oldest bad line raises
-    return [AuditRecord.from_line(line) for line in list(islice(lines, n))[::-1]]
+    return [AuditRecord.from_line(line) for line in reversed(tail)]
 
 
 def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
     """The whole records of the audit log, newest first, read backwards only
     as far as the caller iterates; a torn tail is left out."""
-    _, lines = _whole_lines_backwards(Path(path) / AUDIT_NAME)
-    for line in lines:
-        yield AuditRecord.from_line(line)
+    with audit_backwards(path) as (_, records):
+        yield from records
+
+
+@contextmanager
+def audit_backwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
+    """torn_tail_bytes(path) and iter_audit_backwards(path) from one open of
+    the audit log, which stays open until the with block ends."""
+    fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
+    with fh:
+        yield torn, map(AuditRecord.from_line, filter(None, _lines_backwards(fh, end)))
 
 
 def torn_tail_bytes(path: str | Path) -> int:
     """The length of the unterminated bytes after the last line end of the
     audit log, which the readers leave out and the next load() cuts off;
     0 when the log ends in a line end or is missing."""
-    return _whole_lines_backwards(Path(path) / AUDIT_NAME)[0]
+    fh, _, torn = _open_audit(Path(path) / AUDIT_NAME)
+    fh.close()
+    return torn
 
 
 def check_audit_chain(path: str | Path) -> int:
@@ -504,19 +525,21 @@ def walk_audit_chain(path: str | Path) -> Iterator[AuditRecord]:
     first broken link, gap, or malformed line. One pass reads and parses
     each line once, so a caller can check the records as they come."""
     prev_hash = GENESIS_HASH
-    for line_no, line in enumerate(_lines_forwards(Path(path) / AUDIT_NAME), start=1):
-        if not line:
-            raise AuditChainError(line_no, "blank line inside the log")
-        try:
-            record = AuditRecord.from_line(line)
-        except StateError as exc:
-            raise AuditChainError(line_no, str(exc)) from None
-        if record.prev != prev_hash:
-            raise AuditChainError(line_no, "hash chain broken")
-        if record.seq != line_no:
-            raise AuditChainError(line_no, f"sequence gap: expected {line_no}, got {record.seq}")
-        prev_hash = _line_hash(line)
-        yield record
+    fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
+    with fh:
+        for line_no, line in enumerate(_lines_forwards(fh, end), start=1):
+            if not line:
+                raise AuditChainError(line_no, "blank line inside the log")
+            try:
+                record = AuditRecord.from_line(line)
+            except StateError as exc:
+                raise AuditChainError(line_no, str(exc)) from None
+            if record.prev != prev_hash:
+                raise AuditChainError(line_no, "hash chain broken")
+            if record.seq != line_no:
+                raise AuditChainError(line_no, f"sequence gap: expected {line_no}, got {record.seq}")
+            prev_hash = _line_hash(line)
+            yield record
 
 
 # -- internals ----------------------------------------------------------------
@@ -539,12 +562,32 @@ def _release_lock(fd: int) -> None:
         os.close(fd)
 
 
-def _read_anchor(path: Path) -> PublicKey:
-    state_path = path / STATE_NAME
-    if not state_path.exists():
-        raise NotProvisionedError(f"{path} holds no provisioned state")
+def _open_regular(file: Path, flags: int) -> int:
+    """A descriptor of file opened with flags and O_NONBLOCK, so that a FIFO
+    opens at once; anything but a regular file is closed and refused."""
     try:
-        obj = json.loads(state_path.read_text("utf-8"))
+        fd = os.open(file, flags | os.O_NONBLOCK)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+        os.close(fd)
+    except IsADirectoryError:  # how a writable open refuses a directory
+        pass
+    raise StateError(f"{file} is not a regular file")
+
+
+def _read_anchor(path: Path) -> PublicKey:
+    try:
+        fd = _open_regular(path / STATE_NAME, os.O_RDONLY)
+    except (FileNotFoundError, NotADirectoryError):
+        raise NotProvisionedError(f"{path} holds no provisioned state") from None
+    try:
+        raw = os.read(fd, _STATE_LIMIT + 1)
+    finally:
+        os.close(fd)
+    try:
+        if len(raw) > _STATE_LIMIT:
+            raise ValueError(f"longer than {_STATE_LIMIT} bytes")
+        obj = json.loads(raw.decode("utf-8"))
         return PublicKey.from_file_bytes(bytes.fromhex(obj["anchor"]))
     except (ValueError, KeyError, TypeError) as exc:
         raise StateError(f"corrupt {STATE_NAME}: {exc}") from None
@@ -558,7 +601,7 @@ def _counter_slot(nv: int, anchor_bytes: bytes) -> bytes:
 
 def _open_counter(path: Path, flags: int) -> int:
     try:
-        return os.open(path / COUNTER_NAME, flags)
+        return _open_regular(path / COUNTER_NAME, flags)
     except FileNotFoundError:
         raise StateError(
             f"{path} has no {COUNTER_NAME} file; a state directory whose counter is "
@@ -605,74 +648,73 @@ def _scan_audit_tail(audit_path: Path) -> tuple[AuditRecord | None, str, int]:
     """The last whole record of the audit log with its line hash, or (None,
     GENESIS_HASH) when there is none, and the length of the unterminated
     bytes after it (0 when the log ends in a line end or is missing)."""
-    torn, lines = _whole_lines_backwards(audit_path)
-    line = next(lines, None)
+    fh, end, torn = _open_audit(audit_path)
+    with fh:
+        line = next(filter(None, _lines_backwards(fh, end)), None)
     if line is None:
         return None, GENESIS_HASH, torn
     return AuditRecord.from_line(line), _line_hash(line), torn
 
 
-def _whole_lines_backwards(audit_path: Path) -> tuple[int, Iterator[bytes]]:
-    """The length of the torn tail of the audit log, and its whole lines,
-    newest first and blank ones skipped, read only as far as the caller
-    iterates. The log is opened here, at once; dropping the iterator closes
-    it."""
-    lines = _lines_backwards(audit_path)
-    return len(next(lines)), filter(None, lines)
+def _open_audit(audit_path: Path) -> tuple[BinaryIO, int, int]:
+    """The audit log open for reading (empty when missing), the offset past
+    its last line end, and the torn tail's length after it: the one place
+    that finds where the whole lines end. The scan steps back from the end,
+    doubling up to _SCAN_CAP, and holds one block however long the tail."""
+    try:
+        fh = open(_open_regular(audit_path, os.O_RDONLY), "rb")
+    except (FileNotFoundError, NotADirectoryError):
+        fh = io.BytesIO()
+    try:
+        size = pos = fh.seek(0, os.SEEK_END)
+        step = _TAIL_BLOCK
+        while pos > 0:
+            step = min(step, pos)
+            pos -= step
+            fh.seek(pos)
+            block = fh.read(step)
+            end = pos + max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            if end > pos:
+                return fh, end, size - end
+            step = min(2 * step, _SCAN_CAP)
+        return fh, 0, size
+    except BaseException:
+        fh.close()
+        raise
 
 
-def _lines_forwards(audit_path: Path) -> Iterator[bytes]:
-    """The lines of _lines_backwards after the torn tail, oldest first, read
-    forwards in blocks, so memory grows with a block and the longest line,
-    not with the log. A block's last line is carried into the next block,
-    since a CR at its end may be followed by an LF there."""
-    if not audit_path.exists():
-        return
-    with open(audit_path, "rb") as fh:
-        step, carry = _TAIL_BLOCK, b""
-        while block := fh.read(step):
-            *lines, carry = (carry + block).splitlines(keepends=True)
-            if not lines:  # all one line so far: doubling keeps the re-splits linear
-                step *= 2
-            for line in lines:
-                yield line.rstrip(b"\r\n")
-    if carry.endswith((b"\n", b"\r")):  # otherwise carry is the torn tail
+def _lines_forwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
+    """The lines of bytes.splitlines() over the log open at fh up to end,
+    read forwards a block at a time; a block's last line is carried into
+    the next, since a CR at its end may be followed by an LF there."""
+    fh.seek(0)
+    pos, step, carry = 0, _TAIL_BLOCK, b""
+    while pos < end and (block := fh.read(min(step, end - pos))):
+        pos += len(block)
+        *lines, carry = (carry + block).splitlines(keepends=True)
+        if not lines:  # all one line so far: doubling keeps the re-splits linear
+            step *= 2
+        for line in lines:
+            yield line.rstrip(b"\r\n")
+    if carry:
         yield carry.rstrip(b"\r\n")
 
 
-def _lines_backwards(audit_path: Path) -> Iterator[bytes]:
-    """First the unterminated bytes after the last line end of the audit log
-    (b"" when it ends in one or is missing), then each line that ends in a
-    line end, newest first, blank ones included: the lines of
-    bytes.splitlines() over the log up to its last line end, in reverse.
-    Reads backwards from the end in blocks, only as far as the caller
-    iterates, so the cost grows with the lines taken, not with the log. The
-    first line of a block may begin in the block before it, so it is carried
-    into that block and split again with it."""
-    torn: bytes | None = None  # set at the log's last line, the first one split off
-    if audit_path.exists():
-        with open(audit_path, "rb") as fh:
-            pos = fh.seek(0, os.SEEK_END)
-            step = _TAIL_BLOCK
-            carry = b""
-            while pos > 0:
-                step = min(step, pos)
-                pos -= step
-                fh.seek(pos)
-                lines = (fh.read(step) + carry).splitlines(keepends=True)
-                carry = lines.pop(0) if pos else b""
-                if not lines:  # all one line so far: doubling keeps the re-splits linear
-                    step *= 2
-                for line in reversed(lines):
-                    whole = line.rstrip(b"\r\n")
-                    if torn is None:
-                        torn = b"" if whole != line else line
-                        yield torn
-                        if torn:
-                            continue
-                    yield whole
-    if torn is None:  # a missing or empty log
-        yield b""
+def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
+    """The lines of _lines_forwards in reverse, read backwards from end a
+    block at a time, only as far as the caller iterates. A block's first
+    line may begin in the block before, so it is carried into that one."""
+    pos, step, carry = end, _TAIL_BLOCK, b""
+    while pos > 0:
+        step = min(step, pos)
+        pos -= step
+        fh.seek(pos)
+        lines = (fh.read(step) + carry).splitlines(keepends=True)
+        carry = lines.pop(0) if pos else b""
+        if not lines:  # all one line so far: doubling keeps the re-splits linear
+            step *= 2
+        for line in reversed(lines):
+            yield line.rstrip(b"\r\n")
 
 
 def _archive_existing(path: Path) -> None:

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .cli import EXIT_INTEGRITY, EXIT_OK, CliError, _add_state_arg, _state_dir, parse_size
 from .crypto import Digest, KeyPair, PublicKey, SignatureScheme, keygen
@@ -29,8 +30,10 @@ from .packaging import (
 )
 from .state import (
     AuditEvent,
+    AuditRecord,
+    NotProvisionedError,
     SecureStateStore,
-    iter_audit_backwards,
+    audit_backwards,
     read_audit,
     read_audit_tail,
     read_state,
@@ -49,11 +52,16 @@ def derive_status(state_dir: str | Path) -> MonitorStatus:
     backwards to the last VERIFY_ACCEPT, so the cost grows with the records
     after it, not with the log: a tampered SESSION_RECHECK among them means
     the device is quarantined."""
-    state_dir = Path(state_dir)
+    with audit_backwards(state_dir) as (_, records):
+        return _status_from(state_dir, records)
+
+
+def _status_from(state_dir: str | Path, records: Iterable[AuditRecord]) -> MonitorStatus:
+    """derive_status over the log's records, newest first."""
     if not SecureStateStore.is_provisioned(state_dir):
         return MonitorStatus(Phase.UNPROVISIONED, None, None)
     tampered = False
-    for record in iter_audit_backwards(state_dir):
+    for record in records:
         if record.event is AuditEvent.VERIFY_ACCEPT:
             phase = Phase.QUARANTINED if tampered else Phase.LOADED_LOCKED
             digest = Digest.from_hex(record.digest) if record.digest else None
@@ -121,8 +129,8 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     state_dir = _state_dir(args)
-    status = derive_status(state_dir)
-    torn = torn_tail_bytes(state_dir)
+    with audit_backwards(state_dir) as (torn, records):
+        status = _status_from(state_dir, records)
     nv = None
     anchor_scheme = None
     if SecureStateStore.is_provisioned(state_dir):
@@ -160,9 +168,9 @@ def cmd_status(args: argparse.Namespace) -> int:
 def cmd_log(args: argparse.Namespace) -> int:
     state_dir = _state_dir(args)
     if args.check:
-        _, nv = read_state(state_dir)  # outside the try: unprovisioned is exit 2, as in verify
-        chain = walk_audit_chain(state_dir)
         try:
+            _, nv = read_state(state_dir)
+            chain = walk_audit_chain(state_dir)
             try:
                 count, last_accept = replay_protocol_invariants(chain)
             except ReplayError:
@@ -176,6 +184,8 @@ def cmd_log(args: argparse.Namespace) -> int:
                     f"the last logged accept is version {last_accept}, "
                     f"below the committed counter {nv}"
                 )
+        except NotProvisionedError:
+            raise  # a usage error, exit 2, as in verify
         except Exception as exc:
             print(f"audit check FAILED: {exc}", file=sys.stderr)
             return EXIT_INTEGRITY

@@ -12,6 +12,7 @@ import pytest
 
 import faarm.mcu
 import faarm.monitor
+import faarm.state
 from faarm import harness
 from faarm.crypto import KeyPair, hash_data
 from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
@@ -441,6 +442,31 @@ class TestStatusAndLog:
         assert json.loads(cli("status", "--state", state, "--json").out)["torn_tail_bytes"] == 0
         assert cli("log", "--state", state, "--check").out == f"chain OK, {count + 2} records\n"
 
+    @pytest.mark.parametrize("torn", [b"", b'{"seq":99,"ti'], ids=["whole", "torn"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_status_opens_the_log_once(self, cli, workshop, monkeypatch, torn, json_flag):
+        state_dir = workshop["state"]
+        cli("verify", str(workshop["bundle"]), "--state", str(state_dir))
+        with open(state_dir / "audit.log", "ab") as fh:
+            fh.write(torn)
+        opened = []
+        real_open = open
+
+        def counting_open(file, mode="r"):
+            opened.append(file)
+            return real_open(file, mode)
+
+        monkeypatch.setattr(faarm.state, "open", counting_open, raising=False)
+        out = cli("status", "--state", str(state_dir), *json_flag).out
+        assert len(opened) == 1
+        assert ("13" in out) == bool(torn)
+
+    def test_check_reports_a_corrupt_counter_as_an_integrity_failure(self, cli, workshop):
+        state_dir = workshop["state"]
+        (state_dir / "counter").write_bytes(b"x" * 128)
+        out = cli("log", "--state", str(state_dir), "--check", expect=1)
+        assert out.err == "audit check FAILED: corrupt counter: no slot holds a valid counter\n"
+
 
 class TestAttackAndBench:
     def test_attack_json_smoke(self, cli, tmp_path):
@@ -541,12 +567,27 @@ class TestErrorSurface:
     def test_default_state_dir_constant(self):
         assert DEFAULT_STATE_DIR == "./faarm-state"
 
+    # EL1 owns the state directory: a FIFO in place of a state file is refused
+    # at once, where a blocking open would wait for a writer that never comes
+    @pytest.mark.parametrize("name", ["audit.log", "state.json", "counter"])
+    @pytest.mark.parametrize("argv, code", [(["verify"], 2), (["status"], 2), (["log", "--check"], 1)],
+                             ids=["verify", "status", "check"])
+    def test_a_fifo_state_file_is_refused_without_blocking(self, workshop, name, argv, code):
+        state_dir = workshop["state"]
+        (state_dir / name).unlink()
+        os.mkfifo(state_dir / name)
+        if argv == ["verify"]:
+            argv = ["verify", str(workshop["bundle"])]
+        done = run_fresh("-m", "faarm", *argv, "--state", str(state_dir), timeout=30)
+        assert done.returncode == code
+        assert f"{state_dir / name} is not a regular file" in done.stderr
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_fresh(
-    *argv: str, unbuffered: bool = False, stdout=subprocess.PIPE
+    *argv: str, unbuffered: bool = False, stdout=subprocess.PIPE, timeout: float = 120
 ) -> subprocess.CompletedProcess:
     """Run the interpreter in a new process with only src/ on PYTHONPATH;
     in-process tests cannot see lazy imports, since pytest already loaded
@@ -562,7 +603,7 @@ def run_fresh(
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -661,6 +702,10 @@ class TestFreshProcess:
         done = run_fresh("-m", "faarm", *argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ")
+
+    def test_a_negative_bench_warmup_is_a_usage_error(self, cli):
+        err = cli("bench", "--size", "4KiB", "--runs", "3", "--warmup", "-2", expect=2).err
+        assert err == "error: warmup must be >= 0\n"
 
     def test_parser_defaults_match_the_harness(self):
         scenario = next(a for a in subcommand("attack")._actions if a.dest == "scenario")

@@ -308,6 +308,11 @@ class TestBench:
         with pytest.raises(HarnessError):
             run_bench(runs=0)
 
+    def test_rejects_negative_warmup(self):
+        # a negative warmup would measure warmup + runs loads but report runs
+        with pytest.raises(HarnessError, match="warmup"):
+            run_bench(firmware_size=4096, runs=3, warmup=-2)
+
     def test_bench_json_includes_reference_numbers(self):
         result = run_bench(firmware_size=4096, runs=3, warmup=0)
         payload = json.loads(bench_to_json(result, config={"runs": 3}))

@@ -539,6 +539,27 @@ class TestStateFileCorruption:
         SecureStateStore.provision(ed25519_key.public, path, reset=True, durable=False).close()
         assert read_state(path)[1] == 0
 
+    def test_state_json_is_read_only_up_to_its_bound(self, tmp_path, ed25519_key):
+        # a valid anchor padded past the bound: what lies beyond it is never read
+        path = tmp_path / "s"
+        SecureStateStore.provision(ed25519_key.public, path, durable=False).close()
+        raw = (path / "state.json").read_bytes()
+        (path / "state.json").write_bytes(raw + b" " * (state._STATE_LIMIT - len(raw)))
+        assert read_state(path)[0] == ed25519_key.public
+        (path / "state.json").write_bytes(raw + b" " * (state._STATE_LIMIT + 1 - len(raw)))
+        for open_it in (read_state, SecureStateStore.load):
+            with pytest.raises(StateError, match=r"corrupt state\.json: longer than 4096 bytes"):
+                open_it(path)
+
+    @pytest.mark.parametrize("name", ["state.json", "counter", "audit.log"])
+    def test_a_state_file_that_is_not_a_regular_file_is_refused(self, tmp_path, ed25519_key, name):
+        path = tmp_path / "s"
+        SecureStateStore.provision(ed25519_key.public, path, durable=False).close()
+        (path / name).unlink()
+        (path / name).mkdir()
+        with pytest.raises(StateError, match=f"{name} is not a regular file"):
+            SecureStateStore.load(path, durable=False)
+
 
 class TestCounterSlots:
     """The counter file: two 64-byte slots, overwritten in place by turns."""
@@ -947,9 +968,17 @@ class TestTornTailReaders:
         monkeypatch.setattr(state, "open", lambda path, mode: CountingFile(path), raising=False)
         assert torn_tail_bytes(tmp_path) == 100_000
         assert len(reads) <= 14 and sum(reads) <= 2 * 100_000
-        reads.clear()
-        assert list(state._lines_backwards(tmp_path / "audit.log")) == [b"y" * 100_000, b"x" * 10_000]
-        assert len(reads) <= 15 and sum(reads) == 110_001
+        # the same long line ended, read whole either way
+        (tmp_path / "audit.log").write_bytes(b"x" * 10_000 + b"\n" + b"y" * 100_000 + b"\n")
+        fh, end, torn = state._open_audit(tmp_path / "audit.log")
+        with fh:
+            assert (end, torn) == (110_002, 0)
+            reads.clear()
+            assert list(state._lines_backwards(fh, end)) == [b"y" * 100_000, b"x" * 10_000]
+            assert len(reads) <= 15 and sum(reads) == 110_002
+            reads.clear()
+            assert list(state._lines_forwards(fh, end)) == [b"x" * 10_000, b"y" * 100_000]
+            assert len(reads) <= 15 and sum(reads) == 110_002
 
     def test_missing_log(self, tmp_path):
         assert read_audit(tmp_path) == []
@@ -985,10 +1014,12 @@ class TestTornTailReaders:
             log = Path(tmp) / "audit.log"
             log.write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
-                torn, *backwards = state._lines_backwards(log)
-                forwards = list(state._lines_forwards(log))
+                fh, found, torn = state._open_audit(log)
+                with fh:
+                    backwards = list(state._lines_backwards(fh, found))
+                    forwards = list(state._lines_forwards(fh, found))
+        assert (found, torn) == (end, len(content) - end)
         assert forwards == backwards[::-1] == content[:end].splitlines()
-        assert torn == content[end:]
 
     def test_checking_a_large_log_holds_about_a_block(self, store):
         # the whole-log readers read forwards in blocks, not the log at once
@@ -999,3 +1030,49 @@ class TestTornTailReaders:
         count, peak = traced_peak(lambda: check_audit_chain(store.path))
         assert count == store.append_audit(AuditEvent.TASK_DENY, reason="x").seq - 1
         assert peak < 1 << 20
+
+
+class TestLongTornTail:
+    # EL1 owns the state directory and may append any number of bytes with no
+    # line end: each reader still holds about a block, and a load cuts them off
+    TORN = 32 << 20
+
+    @pytest.fixture
+    def torn_store(self, store):
+        for i in range(20):
+            store.append_audit(AuditEvent.TASK_DENY, detail=f"task {i}")
+        records = read_audit(store.path)
+        store.close()
+        log = store.path / "audit.log"
+        os.truncate(log, log.stat().st_size + self.TORN)  # NUL bytes, none a line end
+        return store.path, records
+
+    @pytest.mark.parametrize("reader", [
+        "scan_audit_tail", "torn_tail_bytes", "read_audit", "check_audit_chain", "read_audit_tail",
+    ])
+    def test_each_reader_holds_under_a_mebibyte(self, torn_store, reader):
+        path, records = torn_store
+        last = records[-1]
+        call, expected = {
+            "scan_audit_tail": (lambda: state._scan_audit_tail(path / "audit.log"),
+                                (last, hashlib.sha256(last.to_line()).hexdigest(), self.TORN)),
+            "torn_tail_bytes": (lambda: torn_tail_bytes(path), self.TORN),
+            "read_audit": (lambda: read_audit(path), records),
+            "check_audit_chain": (lambda: check_audit_chain(path), len(records)),
+            "read_audit_tail": (lambda: read_audit_tail(path, 3), records[-3:]),
+        }[reader]
+        result, peak = traced_peak(call)
+        assert result == expected
+        assert peak < 1 << 20
+
+    def test_a_load_cuts_it_off_with_one_recover(self, torn_store):
+        path, records = torn_store
+        _, peak = traced_peak(lambda: SecureStateStore.load(path, durable=False).close())
+        assert peak < 1 << 20
+        after = read_audit(path)
+        assert after[:-1] == records
+        assert [(r.event, r.detail) for r in after[-1:]] == [
+            (AuditEvent.RECOVER, f"truncated a torn last line of {self.TORN} bytes")
+        ]
+        assert torn_tail_bytes(path) == 0
+        assert check_audit_chain(path) == len(records) + 1
