@@ -4,18 +4,17 @@ session rechecks, and the task admission gate.
 Load protocol, in order (a failing step rejects with the reason shown, appends
 a VERIFY_REJECT record, and leaves both the counter and the region untouched):
 
-  1. parse the manifest and the signature
-     (verify_bundle only)                         -> malformed-bundle
+  1. parse the manifest and the signature         -> malformed-bundle
   2. image fits the region, by its length alone   -> oversize
-     (fstat or the .pkg length header; checked
-     before the image is read or copied)
+     (fstat, the .pkg length header, or the length
+     of an in-memory image; before it is read or
+     copied)
   3. verify the signature over the manifest's
      firmware_hash || canonical manifest          -> bad-signature
   4. manifest identity matches this monitor       -> malformed-bundle
   5. version strictly above the committed counter -> rollback
   6. every manifest flag is known                 -> unknown-flag
-  7. read the image (verify_bundle) and hash it, once; verify_and_lock
-     hashes the bytes it froze the image into on entry
+  7. read the image and hash it, once
   8. compare against the authenticated hash       -> hash-mismatch
   9. secure write of the step-7 bytes + lock with
      the step-7 digest, in one critical section
@@ -25,34 +24,33 @@ a VERIFY_REJECT record, and leaves both the counter and the region untouched):
      restored to its pre-step-9 snapshot and the error
      propagates)
 
-Steps 3-6 (_authenticate) need the manifest and the signature alone, so the
-image of a bundle they refuse is never read or hashed: a forged, foreign,
-rolled-back or unknown-flag bundle costs its manifest parse and one
-signature check, whatever the size of its image. verify_bundle runs them
-from inside read_bundle, before the image read, and holds _serial from step
-1 through step 10, so no other load commits between its rollback gate and
-its commit. Checking the hash after the signature loses nothing: the
-signature covers firmware_hash, so once it verifies, step 8 holds the image
-to the vendor's own digest. A bundle with several faults rejects at the
-earliest gate it fails; a tampered image with a bad signature is
-bad-signature, and a tampered image of a stale version is rollback.
+Both entry points run these steps in one method, _load, over a reader with
+read_bundle's contract; verify_and_lock's reader has no step 1 and freezes
+an image that fits into bytes at step 2. Steps 3-6 (_authenticate) need the
+manifest and the signature alone and run before step 7, so a forged,
+foreign, rolled-back or unknown-flag bundle costs its manifest parse and one
+signature check, whatever its image size. _serial is held from step 1
+through step 10. The signature covers firmware_hash, so step 8 holds the
+image to the vendor's own digest. A package with several faults rejects at
+the earliest gate it fails. A rejection's detail is cut to MAX_DETAIL_CHARS,
+since a parse error quotes the unauthenticated field it refuses.
 
-StageTimings splits each load into three stages: verify_ms spans steps 3-8,
-which for verify_bundle include the image read; lock_ms spans step 9; and
-total_ms runs from entry to the built result, so it alone includes the audit
-appends, the counter commit and, for verify_bundle, steps 1 and 2, accepted
-or rejected. A load rejected at step 1 or 2 has verify_ms == lock_ms == 0.
-(A bundle image that grows past the region after its fstat is read to one
-byte over the bound at step 7 and rejected as oversize with verify_ms > 0.)
+StageTimings: verify_ms spans steps 3-8, lock_ms step 9, and total_ms runs
+from entry to the built result, so it alone includes steps 1 and 2, the
+audit appends and the commit. A load rejected at step 1 or 2 has verify_ms
+== lock_ms == 0 (but a bundle image that grows past the region after its
+fstat is rejected as oversize at step 7, with verify_ms > 0).
 
 The size gate comes first because it needs only the image's length, which
 the bundle's author already knows, so it tells a prober nothing about the
 gates behind it, and an oversize image costs no read, hash or signature check.
 
-Verification and locking happen inside one serialized entry point: the TOCTOU
-window between "checked" and "locked" is closed by construction, and the
-interposition hooks used by adversarial tests fire outside the critical
-section, where a real concurrent writer would sit.
+Verification and locking happen inside one serialized entry point, so the
+TOCTOU window between "checked" and "locked" is closed by construction. The
+interposition hooks used by adversarial tests fire outside the region's
+critical section, where a real concurrent writer would sit: PRE_VERIFY once
+the size gate has passed (so a load rejected at step 1 or 2 fires none),
+POST_VERIFY_PRE_LOCK between steps 8 and 9, and POST_LOCK after step 10.
 """
 
 from __future__ import annotations
@@ -61,8 +59,9 @@ import os
 import threading
 import time
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .crypto import CryptoError, Digest, Signature, hash_data, signing_payload, verify
 from .mcu import HookPoint, LockEngageError, LockState, McuRegion
@@ -80,6 +79,7 @@ from .state import AuditEvent, AuditRecord, SecureStateStore
 
 TASK_ENVELOPE_MAGIC = b"ENC1"
 KNOWN_FLAGS = frozenset({FLAG_REQUIRES_LOCK})  # a manifest flag outside these rejects the load
+MAX_DETAIL_CHARS = 1024  # the longest rejection detail a result or an audit record carries
 _WRITE_DENIED = AuditEvent.WRITE_DENIED  # read per denied write; see mcu._EL1
 
 
@@ -92,9 +92,9 @@ class ReplayError(Exception):
 
 
 class _Refused(Exception):
-    """Raised out of read_bundle by verify_bundle's check when the manifest
-    fails a gate, so that the image is never read; carries the rejection, as
-    (reason, detail), and the manifest's version."""
+    """Raised out of the reader by _load's check when the manifest fails a
+    gate, so that the image is never read; carries (reason, detail) and the
+    manifest's version."""
 
     def __init__(self, rejection: tuple[RejectionReason, str], version: int):
         self.rejection = rejection
@@ -209,42 +209,35 @@ class Monitor:
     # -- the load protocol -----------------------------------------------------
 
     def verify_and_lock(self, package: FirmwarePackage) -> VerifyResult:
-        """Run the full ordered load protocol on an in-memory package.
+        """Run the load protocol on an in-memory package. An image that fits
+        the region is frozen into bytes (a no-op for bytes) before its length
+        is gated, and only that object is hashed, written and locked; an
+        oversize image is rejected from its length and never copied."""
 
-        An image that fits the region is frozen into one immutable bytes
-        object up front (a no-op when it already is bytes); that object alone
-        is hashed, written and locked, so a caller mutating package.firmware
-        after verification cannot change what gets locked. An oversize image
-        is rejected from its length and never copied.
-        """
-        t_total = time.perf_counter()
-        with self._serial:
-            manifest = package.manifest
+        def read(*, max_firmware: int, check: Callable[[Manifest, Signature], None]):
             firmware = package.firmware
-            size = len(firmware)
-            if size <= self.region.capacity:
+            if len(firmware) <= max_firmware:
                 firmware = bytes(firmware)
-                size = len(firmware)  # the frozen length is the one gated
-            self.region.fire(HookPoint.PRE_VERIFY)
-            rejection = self._check_size(size)
-            if rejection is not None:
-                return self._reject(*rejection, manifest.version, t_total)
-            t_verify = time.perf_counter()
-            rejection = self._authenticate(manifest, package.signature)
-            if rejection is not None:
-                return self._reject(*rejection, manifest.version, t_total, _ms_since(t_verify))
-            return self._hash_and_lock(firmware, manifest, t_total, t_verify)
+            if len(firmware) > max_firmware:
+                raise ImageTooLarge(len(firmware), max_firmware, package.manifest)
+            check(package.manifest, package.signature)
+            return package._replace(firmware=firmware)
+
+        return self._load(read)
 
     def verify_bundle(self, path: str | Path) -> VerifyResult:
-        """Read a bundle from disk and run the load protocol; parse failures
-        reject as malformed-bundle, and an image over the region's capacity
-        rejects as oversize without being read. The manifest gates run
-        inside read_bundle, before it reads the image, so a bundle they
-        refuse has no image byte read. total_ms includes the read."""
+        """Read a bundle from disk and run the load protocol on it."""
+        return self._load(partial(read_bundle, path))
+
+    def _load(self, read: Callable[..., FirmwarePackage]) -> VerifyResult:
+        """The load protocol over read(max_firmware=, check=), which keeps
+        read_bundle's contract: ImageTooLarge for an image over max_firmware,
+        else check(manifest, signature) and, if check returns, the package
+        with its image read."""
         t_total = time.perf_counter()
         t_verify = None
 
-        def authenticate(manifest: Manifest, signature: Signature) -> None:
+        def check(manifest: Manifest, signature: Signature) -> None:
             nonlocal t_verify
             self.region.fire(HookPoint.PRE_VERIFY)
             t_verify = time.perf_counter()
@@ -253,82 +246,76 @@ class Monitor:
                 raise _Refused(rejection, manifest.version)
 
         with self._serial:
-            version = None
+            rejection = version = None
             try:
-                package = read_bundle(
-                    path, max_firmware=self.region.capacity, check=authenticate
-                )
+                package = read(max_firmware=self.region.capacity, check=check)
             except _Refused as exc:
                 rejection, version = exc.rejection, exc.version
             except (BundleError, ManifestError, CryptoError) as exc:
                 rejection = RejectionReason.MALFORMED_BUNDLE, str(exc)
             except ImageTooLarge as exc:
-                rejection, version = self._check_size(exc.size), exc.manifest.version
-            else:
-                return self._hash_and_lock(package.firmware, package.manifest, t_total, t_verify)
-            verify_ms = 0.0 if t_verify is None else _ms_since(t_verify)
-            return self._reject(*rejection, version, t_total, verify_ms)
+                detail = f"{exc.size} bytes exceeds region capacity {self.region.capacity}"
+                rejection, version = (RejectionReason.OVERSIZE, detail), exc.manifest.version
+            if rejection is not None:
+                verify_ms = 0.0 if t_verify is None else _ms_since(t_verify)
+                return self._reject(*rejection, version, t_total, verify_ms)
 
-    def _hash_and_lock(
-        self, firmware: bytes, manifest: Manifest, t_total: float, t_verify: float
-    ) -> VerifyResult:
-        """The load protocol from step 7 on, for both entry points, once the
-        manifest has passed its gates; the caller holds _serial. t_total and
-        t_verify are the perf_counter() readings taken when the entry point
-        was called and when the signature gate began."""
-        version = manifest.version
-        digest = hash_data(firmware)
-        if digest != manifest.firmware_hash:
-            return self._reject(
-                RejectionReason.HASH_MISMATCH,
-                f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}",
-                version, t_total, _ms_since(t_verify),
-            )
-        verify_ms = _ms_since(t_verify)
-        requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
-        self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
-        t_lock = time.perf_counter()
-        lock_engaged = False
-        with self.region.exclusive():
-            snap = self.region.snapshot()
+            firmware, manifest = package.firmware, package.manifest
+            version = manifest.version
+            digest = hash_data(firmware)
+            verify_ms = _ms_since(t_verify)
+            if digest != manifest.firmware_hash:
+                return self._reject(
+                    RejectionReason.HASH_MISMATCH,
+                    f"firmware hashes to {digest.hex}, manifest says {manifest.firmware_hash.hex}",
+                    version, t_total, verify_ms,
+                )
+            requires_lock = FLAG_REQUIRES_LOCK in manifest.flags
+            self.region.fire(HookPoint.POST_VERIFY_PRE_LOCK)
+            t_lock = time.perf_counter()
+            lock_engaged = False
+            with self.region.exclusive():
+                snap = self.region.snapshot()
+                try:
+                    self.region.unlock_for_update()
+                    self.region.secure_write(firmware)
+                    self.region.lock(digest)
+                    lock_engaged = True
+                except LockEngageError:
+                    if requires_lock:
+                        self.region.restore(snap)
+            lock_ms = _ms_since(t_lock)
+            if not lock_engaged and requires_lock:
+                return self._reject(
+                    RejectionReason.LOCK_FAILED,
+                    "region lock did not engage and the manifest requires it",
+                    version, t_total, verify_ms, lock_ms,
+                )
+
             try:
-                self.region.unlock_for_update()
-                self.region.secure_write(firmware)
-                self.region.lock(digest)
-                lock_engaged = True
-            except LockEngageError:
-                if requires_lock:
-                    self.region.restore(snap)
-        lock_ms = _ms_since(t_lock)
-        if not lock_engaged and requires_lock:
-            return self._reject(
-                RejectionReason.LOCK_FAILED,
-                "region lock did not engage and the manifest requires it",
-                version, t_total, verify_ms, lock_ms,
+                if lock_engaged:
+                    self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
+                self.store.append_audit(
+                    AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex
+                )
+                self.store.commit_version(version)
+            except BaseException:
+                # the region goes back to the image status() describes; the
+                # next load decides from the log whether this one was accepted
+                self.region.restore(snap)
+                raise
+
+            self._current_version = version
+            self._current_digest = digest
+            self._token = AuthToken(os.urandom(16).hex(), version, digest.hex)
+            self.phase = Phase.LOADED_LOCKED
+            result = VerifyResult(
+                accepted=True, reason=None, detail=None,
+                version=version, digest=digest, token=self._token,
+                timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
             )
-
-        try:
-            if lock_engaged:
-                self.store.append_audit(AuditEvent.LOCK, version=version, digest=digest.hex)
-            self.store.append_audit(AuditEvent.VERIFY_ACCEPT, version=version, digest=digest.hex)
-            self.store.commit_version(version)
-        except BaseException:
-            # the region goes back to the image status() describes; the
-            # next load decides from the log whether this one was accepted
-            self.region.restore(snap)
-            raise
-
-        self._current_version = version
-        self._current_digest = digest
-        self._token = AuthToken(os.urandom(16).hex(), version, digest.hex)
-        self.phase = Phase.LOADED_LOCKED
-        result = VerifyResult(
-            accepted=True, reason=None, detail=None,
-            version=version, digest=digest, token=self._token,
-            timings=StageTimings(verify_ms, lock_ms, _ms_since(t_total)),
-        )
-        self.region.fire(HookPoint.POST_LOCK)
-        return result
+            self.region.fire(HookPoint.POST_LOCK)
+            return result
 
     # -- sessions and tasks ---------------------------------------------------
 
@@ -391,13 +378,6 @@ class Monitor:
 
     # -- internals -----------------------------------------------------------
 
-    def _check_size(self, size: int) -> tuple[RejectionReason, str] | None:
-        """The size gate, which needs the image's length alone."""
-        cap = self.region.capacity
-        if size > cap:
-            return RejectionReason.OVERSIZE, f"{size} bytes exceeds region capacity {cap}"
-        return None
-
     def _authenticate(
         self, manifest: Manifest, signature: Signature
     ) -> tuple[RejectionReason, str] | None:
@@ -423,16 +403,15 @@ class Monitor:
         return None
 
     def _reject(
-        self,
-        reason: RejectionReason,
-        detail: str,
-        version: int | None,
-        t_total: float,
-        verify_ms: float = 0.0,
-        lock_ms: float = 0.0,
+        self, reason: RejectionReason, detail: str, version: int | None, t_total: float,
+        verify_ms: float = 0.0, lock_ms: float = 0.0,
     ) -> VerifyResult:
         """Record VERIFY_REJECT and build the rejected result; the caller holds
-        _serial and has changed neither the counter nor the region."""
+        _serial and has changed neither the counter nor the region. A detail
+        over MAX_DETAIL_CHARS keeps its start and its length, in both."""
+        if len(detail) > MAX_DETAIL_CHARS:
+            suffix = f"... ({len(detail)} characters)"
+            detail = detail[:MAX_DETAIL_CHARS - len(suffix)] + suffix
         self.store.append_audit(
             AuditEvent.VERIFY_REJECT, version=version, reason=reason.value, detail=detail
         )

@@ -30,7 +30,8 @@ disk is then unknown: only a new load() repairs the files and writes again.
 The read-only readers never write: they leave a torn last line out, and
 torn_tail_bytes reports its length. Only _open_audit finds that tail, by a
 scan back from the end that holds one block; every reader, load() included,
-reads the whole lines below it through _lines_forwards or _lines_backwards.
+reads the whole lines below it through _lines_forwards or _lines_backwards,
+which refuse a line over _LINE_LIMIT before holding it whole.
 A state file that is not a regular file (a FIFO, say) is refused with
 StateError, never waited on.
 """
@@ -62,7 +63,8 @@ AUDIT_NAME = "audit.log"
 LOCK_NAME = "lock"
 GENESIS_HASH = "0" * 64
 _TAIL_BLOCK = 64 * 1024  # bytes per step when reading the audit log, either way
-_SCAN_CAP = 256 * 1024  # the largest step of the scan for the log's last line end
+_SCAN_CAP = 256 * 1024  # the largest step a read of the audit log doubles up to
+_LINE_LIMIT = 384 * 1024  # the longest audit line read, its line end included
 _STATE_LIMIT = 4096  # bytes of state.json read; its one anchor takes under 100
 _SLOT_SIZE = 64  # bytes per counter slot; the counter file holds two
 _SLOT_DIGITS = 20
@@ -487,17 +489,11 @@ def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
     return [AuditRecord.from_line(line) for line in reversed(tail)]
 
 
-def iter_audit_backwards(path: str | Path) -> Iterator[AuditRecord]:
-    """The whole records of the audit log, newest first, read backwards only
-    as far as the caller iterates; a torn tail is left out."""
-    with audit_backwards(path) as (_, records):
-        yield from records
-
-
 @contextmanager
 def audit_backwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
-    """torn_tail_bytes(path) and iter_audit_backwards(path) from one open of
-    the audit log, which stays open until the with block ends."""
+    """torn_tail_bytes(path) and the whole records of the audit log, newest
+    first and read only as far as the caller iterates, from one open of the
+    log, which stays open until the with block ends."""
     fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
         yield torn, map(AuditRecord.from_line, filter(None, _lines_backwards(fh, end)))
@@ -516,30 +512,41 @@ def check_audit_chain(path: str | Path) -> int:
     """Walk the full hash chain of the whole records; returns the record
     count, raises AuditChainError at the first broken link, gap, or
     malformed line. A torn tail is left out, as in read_audit."""
-    return sum(1 for _ in walk_audit_chain(path))
+    with walk_audit_chain(path) as (_, records):
+        return sum(1 for _ in records)
 
 
-def walk_audit_chain(path: str | Path) -> Iterator[AuditRecord]:
-    """The whole records of the audit log, oldest first, each yielded once
-    its link to the line before checks out; raises AuditChainError at the
-    first broken link, gap, or malformed line. One pass reads and parses
-    each line once, so a caller can check the records as they come."""
-    prev_hash = GENESIS_HASH
-    fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
+@contextmanager
+def walk_audit_chain(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
+    """As audit_backwards, but the records come oldest first, each once its
+    link to the line before checks out; AuditChainError is raised at the
+    first broken link, gap, malformed line, or line over _LINE_LIMIT. Each
+    line is read and parsed once, so a caller can check records as they come."""
+    fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
-        for line_no, line in enumerate(_lines_forwards(fh, end), start=1):
+        yield torn, _chain(_lines_forwards(fh, end))
+
+
+def _chain(lines: Iterator[bytes]) -> Iterator[AuditRecord]:
+    """walk_audit_chain's records, from the log's lines."""
+    prev_hash = GENESIS_HASH
+    line_no = 1
+    try:
+        for line in lines:
             if not line:
                 raise AuditChainError(line_no, "blank line inside the log")
-            try:
-                record = AuditRecord.from_line(line)
-            except StateError as exc:
-                raise AuditChainError(line_no, str(exc)) from None
+            record = AuditRecord.from_line(line)
             if record.prev != prev_hash:
                 raise AuditChainError(line_no, "hash chain broken")
             if record.seq != line_no:
                 raise AuditChainError(line_no, f"sequence gap: expected {line_no}, got {record.seq}")
             prev_hash = _line_hash(line)
+            line_no += 1
             yield record
+    except AuditChainError:
+        raise
+    except StateError as exc:  # line line_no is malformed, or over _LINE_LIMIT
+        raise AuditChainError(line_no, str(exc)) from None
 
 
 # -- internals ----------------------------------------------------------------
@@ -686,24 +693,32 @@ def _open_audit(audit_path: Path) -> tuple[BinaryIO, int, int]:
 def _lines_forwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
     """The lines of bytes.splitlines() over the log open at fh up to end,
     read forwards a block at a time; a block's last line is carried into
-    the next, since a CR at its end may be followed by an LF there."""
+    the next, since a CR at its end may be followed by an LF there.
+
+    A line over _LINE_LIMIT raises StateError once more than that much of
+    it is held. No faarm wrote a line near it: the longest quoted an
+    unauthenticated 64 KiB manifest at up to five bytes per manifest byte
+    in a rejection's detail, before the monitor cut the detail."""
     fh.seek(0)
     pos, step, carry = 0, _TAIL_BLOCK, b""
     while pos < end and (block := fh.read(min(step, end - pos))):
         pos += len(block)
         *lines, carry = (carry + block).splitlines(keepends=True)
         if not lines:  # all one line so far: doubling keeps the re-splits linear
-            step *= 2
+            step = min(2 * step, _SCAN_CAP)
         for line in lines:
+            _check_line(line)
             yield line.rstrip(b"\r\n")
+        _check_line(carry)
     if carry:
         yield carry.rstrip(b"\r\n")
 
 
 def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
     """The lines of _lines_forwards in reverse, read backwards from end a
-    block at a time, only as far as the caller iterates. A block's first
-    line may begin in the block before, so it is carried into that one."""
+    block at a time, only as far as the caller iterates, under the same
+    _LINE_LIMIT. A block's first line may begin in the block before, so it
+    is carried into that one."""
     pos, step, carry = end, _TAIL_BLOCK, b""
     while pos > 0:
         step = min(step, pos)
@@ -711,10 +726,18 @@ def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
         fh.seek(pos)
         lines = (fh.read(step) + carry).splitlines(keepends=True)
         carry = lines.pop(0) if pos else b""
+        _check_line(carry)
         if not lines:  # all one line so far: doubling keeps the re-splits linear
-            step *= 2
+            step = min(2 * step, _SCAN_CAP)
         for line in reversed(lines):
+            _check_line(line)
             yield line.rstrip(b"\r\n")
+
+
+def _check_line(line: bytes) -> None:
+    """Refuse a line, or the part of one read so far, over _LINE_LIMIT."""
+    if len(line) > _LINE_LIMIT:
+        raise StateError(f"audit line longer than {_LINE_LIMIT} bytes")
 
 
 def _archive_existing(path: Path) -> None:

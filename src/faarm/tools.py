@@ -37,7 +37,6 @@ from .state import (
     read_audit,
     read_audit_tail,
     read_state,
-    torn_tail_bytes,
     walk_audit_chain,
 )
 
@@ -170,13 +169,13 @@ def cmd_log(args: argparse.Namespace) -> int:
     if args.check:
         try:
             _, nv = read_state(state_dir)
-            chain = walk_audit_chain(state_dir)
-            try:
-                count, last_accept = replay_protocol_invariants(chain)
-            except ReplayError:
-                for _ in chain:  # a broken link further on is the error to report
-                    pass
-                raise
+            with walk_audit_chain(state_dir) as (torn, chain):
+                try:
+                    count, last_accept = replay_protocol_invariants(chain)
+                except ReplayError:
+                    for _ in chain:  # a broken link further on is the error to report
+                        pass
+                    raise
             # a last accept above the counter is a crash before its commit,
             # which the next load rolls forward; below it, records are missing
             if last_accept < nv:
@@ -190,7 +189,6 @@ def cmd_log(args: argparse.Namespace) -> int:
             print(f"audit check FAILED: {exc}", file=sys.stderr)
             return EXIT_INTEGRITY
         print(f"chain OK, {count} records")
-        torn = torn_tail_bytes(state_dir)
         if torn:
             print(f"note: the log ends in a torn line of {torn} bytes; "
                   "the next load cuts it off")

@@ -461,6 +461,26 @@ class TestStatusAndLog:
         assert len(opened) == 1
         assert ("13" in out) == bool(torn)
 
+    @pytest.mark.parametrize("torn", [b"", b'{"seq":99,"ti'], ids=["whole", "torn"])
+    def test_check_opens_the_log_once(self, cli, workshop, monkeypatch, torn):
+        # the chain walk and the torn tail's length come from one open
+        state_dir = workshop["state"]
+        cli("verify", str(workshop["bundle"]), "--state", str(state_dir))
+        with open(state_dir / "audit.log", "ab") as fh:
+            fh.write(torn)
+        opened = []
+        real_open = open
+
+        def counting_open(file, mode="r"):
+            opened.append(file)
+            return real_open(file, mode)
+
+        monkeypatch.setattr(faarm.state, "open", counting_open, raising=False)
+        out = cli("log", "--state", str(state_dir), "--check").out
+        assert len(opened) == 1
+        assert out.startswith("chain OK")
+        assert ("torn line of 13 bytes" in out) == bool(torn)
+
     def test_check_reports_a_corrupt_counter_as_an_integrity_failure(self, cli, workshop):
         state_dir = workshop["state"]
         (state_dir / "counter").write_bytes(b"x" * 128)

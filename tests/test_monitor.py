@@ -1,6 +1,7 @@
 import errno
 import io
 import itertools
+import json
 import os
 import tempfile
 import time
@@ -18,6 +19,7 @@ from faarm.crypto import Digest, Signature, hash_data, keygen, SignatureScheme
 from faarm.mcu import HookPoint, LockMode, LockState, WriteOutcome
 from faarm.monitor import (
     EXIT_CODES,
+    MAX_DETAIL_CHARS,
     AuthToken,
     MonitorError,
     MonitorStatus,
@@ -30,7 +32,12 @@ from faarm.packaging import FLAG_REQUIRES_LOCK, FirmwarePackage, canonical_bytes
 from faarm.state import AuditEvent, SecureStateStore, StateError, check_audit_chain, read_audit
 from faarm.tools import derive_status
 
-from conftest import crash_after_lock_then_accept_unlocked, traced_peak, write_container
+from conftest import (
+    TEST_TIMESTAMP,
+    crash_after_lock_then_accept_unlocked,
+    traced_peak,
+    write_container,
+)
 
 FW = bytes(range(256)) * 8  # 2 KiB
 GIB = 1 << 30
@@ -317,6 +324,27 @@ class TestRejections:
         assert env.region.read() == FW
 
     @pytest.mark.parametrize("entry", ["verify_and_lock", "bundle", "bundle.pkg"])
+    @pytest.mark.parametrize("case", ["oversize", "zeroed-signature", "accept"])
+    def test_pre_verify_fires_once_the_size_gate_passes(self, make_env, tmp_path, case, entry):
+        # both entry points run one load body, so the hook rule is the same
+        reason, fires = {
+            "oversize": (RejectionReason.OVERSIZE, 0),
+            "zeroed-signature": (RejectionReason.BAD_SIGNATURE, 1),
+            "accept": (None, 1),
+        }[case]
+        env = make_env(capacity=len(FW))
+        assert env.monitor.verify_and_lock(env.package(FW, 5)).accepted
+        pkg = faulty_package(env, {case} & {fault for fault, _ in GATE_ORDER})
+        fired = []
+        env.region.add_hook(HookPoint.PRE_VERIFY, lambda: fired.append(HookPoint.PRE_VERIFY))
+        if entry == "verify_and_lock":
+            result = env.monitor.verify_and_lock(pkg)
+        else:
+            result = env.monitor.verify_bundle(write_bundle(pkg, tmp_path / entry))
+        assert result.reason is reason
+        assert fired == [HookPoint.PRE_VERIFY] * fires
+
+    @pytest.mark.parametrize("entry", ["verify_and_lock", "bundle", "bundle.pkg"])
     @pytest.mark.parametrize("fault, own_reason", [
         ("tampered-image", RejectionReason.HASH_MISMATCH),
         ("zeroed-signature", RejectionReason.BAD_SIGNATURE),
@@ -489,6 +517,49 @@ class TestVerifyBundle:
         result = env.monitor.verify_bundle(path)
         assert result.reason is RejectionReason.MALFORMED_BUNDLE
         assert AuditEvent.VERIFY_REJECT in events_of(env)
+
+    def bundle_with_timestamp(self, env, tmp_path, stamp):
+        """A bundle whose manifest carries stamp as its timestamp, which the
+        parse refuses, quoting it with repr."""
+        pkg = env.package(FW, 1)
+        path = write_bundle(pkg, tmp_path / "bundle")
+        raw = canonical_bytes(pkg.manifest).replace(
+            json.dumps(TEST_TIMESTAMP).encode(), json.dumps(stamp).encode()
+        )
+        (path / "manifest.json").write_bytes(raw)
+        return path, f"timestamp: not an RFC-3339 instant: {stamp!r}"
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "one-over"])
+    def test_a_detail_is_cut_only_past_the_cap(self, env, tmp_path, over):
+        quoted = len("timestamp: not an RFC-3339 instant: ''")
+        path, full = self.bundle_with_timestamp(
+            env, tmp_path, "x" * (MAX_DETAIL_CHARS - quoted + over)
+        )
+        assert len(full) == MAX_DETAIL_CHARS + over
+        result = env.monitor.verify_bundle(path)
+        assert result.reason is RejectionReason.MALFORMED_BUNDLE
+        assert len(result.detail) == MAX_DETAIL_CHARS
+        if over:
+            suffix = f"... ({len(full)} characters)"
+            assert result.detail == full[:MAX_DETAIL_CHARS - len(suffix)] + suffix
+        else:
+            assert result.detail == full
+        assert read_audit(env.store.path)[-1].detail == result.detail
+
+    def test_an_unauthenticated_manifest_cannot_write_a_long_audit_line(self, env, tmp_path):
+        # repr writes each ' as \', and the line's JSON as \\': uncut, the
+        # detail of this 64 KiB manifest would take about 196 KB of the line
+        path, full = self.bundle_with_timestamp(env, tmp_path, "'" * 65_300 + '"')
+        assert len(json.dumps(full, ensure_ascii=False)) > 195_000
+        log = env.store.path / "audit.log"
+        before = log.stat().st_size
+        result = env.monitor.verify_bundle(path)
+        assert result.reason is RejectionReason.MALFORMED_BUNDLE
+        assert result.detail.startswith(full[:100])
+        assert result.detail.endswith(f"... ({len(full)} characters)")
+        record = read_audit(env.store.path)[-1]
+        assert (record.event, record.detail) == (AuditEvent.VERIFY_REJECT, result.detail)
+        assert log.stat().st_size - before < 2 * MAX_DETAIL_CHARS
 
 
 def image_bytes_read(monkeypatch, bundle, image_size):

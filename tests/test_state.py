@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faarm import state
+from faarm.packaging import MAX_MANIFEST_BYTES, MAX_VERSION, ManifestError, parse_manifest
 from faarm.state import (
     AlreadyProvisionedError,
     AuditChainError,
@@ -22,8 +24,8 @@ from faarm.state import (
     SecureStateStore,
     StateError,
     StateLockError,
+    audit_backwards,
     check_audit_chain,
-    iter_audit_backwards,
     read_audit,
     read_audit_tail,
     read_state,
@@ -948,7 +950,8 @@ class TestTornTailReaders:
         assert read_audit(store.path) == records
         assert read_audit_tail(store.path, 1) == records[-1:]
         assert read_audit_tail(store.path, 9) == records
-        assert list(iter_audit_backwards(store.path)) == records[::-1]
+        with audit_backwards(store.path) as (_, backwards):
+            assert list(backwards) == records[::-1]
         assert check_audit_chain(store.path) == len(records)
         assert torn_tail_bytes(store.path) == len(self.TORN)
         assert log.read_bytes() == raw
@@ -982,7 +985,8 @@ class TestTornTailReaders:
 
     def test_missing_log(self, tmp_path):
         assert read_audit(tmp_path) == []
-        assert list(iter_audit_backwards(tmp_path)) == []
+        with audit_backwards(tmp_path) as (_, backwards):
+            assert list(backwards) == []
         assert check_audit_chain(tmp_path) == 0
         assert torn_tail_bytes(tmp_path) == 0
 
@@ -1000,7 +1004,8 @@ class TestTornTailReaders:
                 if all(isinstance(body, int) for body, _ in parts):
                     records = read_audit(tmp)
                     assert [r.to_line() for r in records] == whole_lines
-                    assert list(iter_audit_backwards(tmp)) == records[::-1]
+                    with audit_backwards(tmp) as (_, backwards):
+                        assert list(backwards) == records[::-1]
 
     @given(
         st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\r", b"\r\n", b"\n\r"]), max_size=24),
@@ -1076,3 +1081,123 @@ class TestLongTornTail:
         ]
         assert torn_tail_bytes(path) == 0
         assert check_audit_chain(path) == len(records) + 1
+
+
+class TestLongWholeLine:
+    # EL1 may also append a long line that does end: each reader refuses it
+    # once it holds more than state._LINE_LIMIT of it, so none holds it whole
+    LINE = 32 << 20
+
+    @pytest.fixture
+    def long_store(self, store):
+        for i in range(20):
+            store.append_audit(AuditEvent.TASK_DENY, detail=f"task {i}")
+        records = read_audit(store.path)
+        store.close()
+        log = store.path / "audit.log"
+        os.truncate(log, log.stat().st_size + self.LINE)  # NUL bytes, none a line end
+        with open(log, "ab") as fh:
+            fh.write(b"\n")
+        return store.path, records
+
+    def backwards(self, path):
+        with audit_backwards(path) as (_, records):
+            return list(records)
+
+    @pytest.mark.parametrize("reader", [
+        "load", "read_audit", "read_audit_tail", "audit_backwards", "check_audit_chain",
+    ])
+    def test_each_reader_refuses_it_holding_about_the_limit(self, long_store, reader):
+        path, records = long_store
+        call = {
+            "load": lambda: SecureStateStore.load(path, durable=False),
+            "read_audit": lambda: read_audit(path),
+            "read_audit_tail": lambda: read_audit_tail(path, 3),
+            "audit_backwards": lambda: self.backwards(path),
+            "check_audit_chain": lambda: check_audit_chain(path),
+        }[reader]
+
+        def refused():
+            with pytest.raises(StateError) as info:
+                call()
+            return info.value
+
+        error, peak = traced_peak(refused)
+        assert f"audit line longer than {state._LINE_LIMIT} bytes" in str(error)
+        if reader == "check_audit_chain":
+            assert isinstance(error, AuditChainError)
+            assert error.line_no == len(records) + 1
+        assert peak < 3 * state._LINE_LIMIT + state._SCAN_CAP
+
+    @pytest.mark.parametrize("length", [state._LINE_LIMIT, state._LINE_LIMIT + 1])
+    def test_the_limit_counts_the_line_end(self, tmp_path, length):
+        (tmp_path / "audit.log").write_bytes(b"a\n" + b"x" * (length - 1) + b"\n" + b"b\n")
+        fh, end, _ = state._open_audit(tmp_path / "audit.log")
+        with fh:
+            for lines in (state._lines_forwards, state._lines_backwards):
+                if length > state._LINE_LIMIT:
+                    with pytest.raises(StateError):
+                        list(lines(fh, end))
+                else:
+                    assert sorted(lines(fh, end)) == [b"a", b"b", b"x" * (length - 1)]
+
+    @given(
+        st.lists(st.sampled_from([b"a", b"bcd", b"\n", b"\r", b"\r\n"]), max_size=24),
+        st.integers(1, 8),
+        st.integers(1, 12),
+    )
+    def test_a_reader_refuses_exactly_the_logs_with_a_line_over_the_limit(
+        self, pieces, block, limit
+    ):
+        content = b"".join(pieces)
+        end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
+        too_long = any(len(line) > limit for line in content[:end].splitlines(keepends=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "audit.log"
+            log.write_bytes(content)
+            with mock.patch.object(state, "_TAIL_BLOCK", block), \
+                    mock.patch.object(state, "_LINE_LIMIT", limit):
+                fh, found, _ = state._open_audit(log)
+                with fh:
+                    for lines in (state._lines_forwards, state._lines_backwards):
+                        try:
+                            list(lines(fh, found))
+                        except StateError:
+                            assert too_long
+                        else:
+                            assert not too_long
+
+    def test_the_limit_covers_every_line_an_earlier_faarm_wrote(self):
+        # Before the monitor cut a rejection's detail to MAX_DETAIL_CHARS, an
+        # unauthenticated manifest of up to MAX_MANIFEST_BYTES could fill it:
+        # a parse error quotes a field with repr, and the audit line quotes
+        # that again as JSON. Per character, in the worst case for repr (a
+        # string holding both quote marks), the line takes at most 5 bytes
+        # for each byte the character takes in the manifest: a DEL (0x7f)
+        # is 1 byte there and \\x7f in the line.
+        def manifest_bytes(c):  # the shortest JSON form of c in a manifest
+            if c in '"\\\b\f\n\r\t':
+                return 2
+            if c < " " or "\ud800" <= c <= "\udfff":
+                return 6  # \uXXXX
+            return len(c.encode("utf-8"))
+
+        def line_bytes(c):  # c in a repr that escapes ', then in the line's JSON
+            return len(encode_basestring(repr(c + "'\"")[1:-4]).encode("utf-8")) - 2
+
+        ratio, worst = max(
+            (line_bytes(c) / manifest_bytes(c), c) for c in map(chr, range(0x110000))
+        )
+        assert (ratio, worst) == (5, "\x7f")
+        # the worst such manifest, as a line with the longest other fields
+        head = b'{"version":1,"mcu_id":"M","timestamp":"'
+        tail = b'","firmware_hash":"' + b"0" * 64 + b'","flags":[]}'
+        raw = head + b"\x7f" * (MAX_MANIFEST_BYTES - len(head) - len(tail)) + tail
+        with pytest.raises(ManifestError) as info:
+            parse_manifest(raw)
+        line = AuditRecord(
+            2**63, "2025-10-10T12:00:00.000Z", AuditEvent.VERIFY_REJECT, MAX_VERSION,
+            "malformed-bundle", "0" * 64, str(info.value),
+        ).to_line()
+        # the other fields of a record take under 1 KiB
+        assert len(line) + 1 <= 5 * MAX_MANIFEST_BYTES + 1024 <= state._LINE_LIMIT
