@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .crypto import CryptoError
-from .mcu import DEFAULT_CAPACITY, LockMode, McuRegion
+from .mcu import DEFAULT_CAPACITY, McuRegion
 from .monitor import Monitor
 from .packaging import DEFAULT_MCU_ID, BundleError, ManifestError
 from .state import SecureStateStore, StateError
@@ -61,7 +61,7 @@ def _state_dir(args: argparse.Namespace) -> Path:
 # -- verify ---------------------------------------------------------------------
 
 
-def _result_json(result, region_dump: dict | None = None) -> dict:
+def _result_json(result, region_dump: dict) -> dict:
     payload = {
         "accepted": result.accepted,
         "reason": result.reason.value if result.reason else None,
@@ -77,23 +77,18 @@ def _result_json(result, region_dump: dict | None = None) -> dict:
             "version": result.token.version,
             "digest": result.token.digest_hex,
         }
-    if region_dump is not None:
-        payload["region"] = region_dump
+    payload["region"] = region_dump
     return payload
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     store = SecureStateStore.load(_state_dir(args))
     try:
-        region = McuRegion(capacity=args.capacity, lock_mode=LockMode(args.lock_mode))
+        region = McuRegion(capacity=args.capacity)
         monitor = Monitor(store, region, mcu_id=args.mcu_id)
         result = monitor.verify_bundle(args.bundle)
-        # each dump re-hashes the region, so one serves both outputs
-        dump = region.dump() if args.dump_region or args.json else None
-        if args.dump_region:
-            Path(args.dump_region).write_text(json.dumps(dump, indent=2) + "\n")
         if args.json:
-            print(json.dumps(_result_json(result, dump), indent=2))
+            print(json.dumps(_result_json(result, region.dump()), indent=2))
         elif result.accepted:
             print(
                 f"SUCCESS: version {result.version} loaded and locked, "
@@ -136,9 +131,6 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("bundle")
     p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
     p.add_argument("--capacity", type=parse_size, default=DEFAULT_CAPACITY)
-    p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
-                   default=LockMode.HARDWARE_WP.value)
-    p.add_argument("--dump-region", default=None, help="write a region dump JSON here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -27,11 +27,11 @@ crash cut short: it commits a last VERIFY_ACCEPT that is above the counter,
 and cuts off a torn last line, appending a RECOVER record for each repair.
 A failed write or fsync closes the store for good, since what reached the
 disk is then unknown: only a new load() repairs the files and writes again.
-The read-only readers never write: they leave a torn last line out, and
-torn_tail_bytes reports its length. Only _open_audit finds that tail, by a
-scan back from the end that holds one block; every reader, load() included,
-reads the whole lines below it through _lines_forwards or _lines_backwards,
-which refuse a line over _LINE_LIMIT before holding it whole.
+The read-only readers never write: they leave a torn last line out, which
+audit_backwards and walk_audit_chain measure. Only _open_audit finds that
+tail, by a scan back from the end that holds one block; every reader, load()
+included, reads the whole lines below it through _lines_forwards or
+_lines_backwards, which refuse a line over _LINE_LIMIT before building it.
 A state file that is not a regular file (a FIFO, say) is refused with
 StateError, never waited on.
 """
@@ -50,7 +50,6 @@ import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import islice
 from json.encoder import encode_basestring as _quote  # json's own C string quoting
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, NamedTuple
@@ -471,41 +470,20 @@ def read_state(path: str | Path) -> tuple[PublicKey, int]:
 def read_audit(path: str | Path) -> list[AuditRecord]:
     """Every whole record of the audit log, oldest first. Bytes after the
     last line end (a torn write, which the next load() cuts off) are left
-    out; torn_tail_bytes() gives their length."""
+    out; audit_backwards and walk_audit_chain give their length."""
     fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
         return [AuditRecord.from_line(line) for line in _lines_forwards(fh, end) if line]
 
 
-def read_audit_tail(path: str | Path, n: int) -> list[AuditRecord]:
-    """The last n whole records of the audit log, oldest first, without
-    reading the rest of it; equal to read_audit(path)[-n:] for n >= 1."""
-    if n <= 0:
-        return []
-    fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
-    with fh:
-        tail = list(islice(filter(None, _lines_backwards(fh, end)), n))
-    # parsed oldest first, as read_audit parses, so the oldest bad line raises
-    return [AuditRecord.from_line(line) for line in reversed(tail)]
-
-
 @contextmanager
 def audit_backwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
-    """torn_tail_bytes(path) and the whole records of the audit log, newest
-    first and read only as far as the caller iterates, from one open of the
-    log, which stays open until the with block ends."""
+    """The length of the log's torn tail (see read_audit) and its whole
+    records, newest first and read only as far as the caller iterates, from
+    one open of the log, which stays open until the with block ends."""
     fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
         yield torn, map(AuditRecord.from_line, filter(None, _lines_backwards(fh, end)))
-
-
-def torn_tail_bytes(path: str | Path) -> int:
-    """The length of the unterminated bytes after the last line end of the
-    audit log, which the readers leave out and the next load() cuts off;
-    0 when the log ends in a line end or is missing."""
-    fh, _, torn = _open_audit(Path(path) / AUDIT_NAME)
-    fh.close()
-    return torn
 
 
 def check_audit_chain(path: str | Path) -> int:
@@ -692,26 +670,30 @@ def _open_audit(audit_path: Path) -> tuple[BinaryIO, int, int]:
 
 def _lines_forwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
     """The lines of bytes.splitlines() over the log open at fh up to end,
-    read forwards a block at a time; a block's last line is carried into
-    the next, since a CR at its end may be followed by an LF there.
+    read forwards a block at a time. Each block is split alone, and its
+    last line is carried into the next, where it grows in place while it
+    goes on; splitlines also decides where a carried CR meets its LF.
 
     A line over _LINE_LIMIT raises StateError once more than that much of
     it is held. No faarm wrote a line near it: the longest quoted an
     unauthenticated 64 KiB manifest at up to five bytes per manifest byte
     in a rejection's detail, before the monitor cut the detail."""
     fh.seek(0)
-    pos, step, carry = 0, _TAIL_BLOCK, b""
+    pos, step, carry = 0, _TAIL_BLOCK, bytearray()
     while pos < end and (block := fh.read(min(step, end - pos))):
         pos += len(block)
-        *lines, carry = (carry + block).splitlines(keepends=True)
-        if not lines:  # all one line so far: doubling keeps the re-splits linear
+        lines = block.splitlines(keepends=True)
+        # the block's first line goes on the carried one unless a line ends between them
+        if len((carry[-1:] + lines[0][:1]).splitlines()) == 1:
+            _check_line(len(carry) + len(lines[0]))
+            carry += lines.pop(0)
+        if not lines:  # all one line so far: doubling keeps the reads few
             step = min(2 * step, _SCAN_CAP)
-        for line in lines:
-            _check_line(line)
-            yield line.rstrip(b"\r\n")
-        _check_line(carry)
+            continue
+        yield from map(_whole, [bytes(carry), *lines[:-1]])
+        carry = bytearray(lines[-1])
     if carry:
-        yield carry.rstrip(b"\r\n")
+        yield _whole(bytes(carry))
 
 
 def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
@@ -719,24 +701,34 @@ def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[bytes]:
     block at a time, only as far as the caller iterates, under the same
     _LINE_LIMIT. A block's first line may begin in the block before, so it
     is carried into that one."""
-    pos, step, carry = end, _TAIL_BLOCK, b""
+    pos, step, carry = end, _TAIL_BLOCK, bytearray()
     while pos > 0:
         step = min(step, pos)
         pos -= step
         fh.seek(pos)
-        lines = (fh.read(step) + carry).splitlines(keepends=True)
-        carry = lines.pop(0) if pos else b""
-        _check_line(carry)
-        if not lines:  # all one line so far: doubling keeps the re-splits linear
+        lines = fh.read(step).splitlines(keepends=True)
+        # the carried line begins on the block's last one unless a line ends between them
+        if lines and len((lines[-1][-1:] + carry[:1]).splitlines()) == 1:
+            _check_line(len(lines[-1]) + len(carry))
+            carry[:0] = lines.pop()
+        if not lines:  # all one line so far: doubling keeps the reads few
             step = min(2 * step, _SCAN_CAP)
-        for line in reversed(lines):
-            _check_line(line)
-            yield line.rstrip(b"\r\n")
+            continue
+        yield from map(_whole, [bytes(carry), *reversed(lines[1:])])
+        carry = bytearray(lines[0])
+    if carry:
+        yield _whole(bytes(carry))
 
 
-def _check_line(line: bytes) -> None:
+def _whole(line: bytes) -> bytes:
+    """A whole line without its line end, refused if over _LINE_LIMIT."""
+    _check_line(len(line))
+    return line.rstrip(b"\r\n")
+
+
+def _check_line(length: int) -> None:
     """Refuse a line, or the part of one read so far, over _LINE_LIMIT."""
-    if len(line) > _LINE_LIMIT:
+    if length > _LINE_LIMIT:
         raise StateError(f"audit line longer than {_LINE_LIMIT} bytes")
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -34,8 +35,6 @@ from .state import (
     NotProvisionedError,
     SecureStateStore,
     audit_backwards,
-    read_audit,
-    read_audit_tail,
     read_state,
     walk_audit_chain,
 )
@@ -195,11 +194,9 @@ def cmd_log(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.tail is not None and args.tail < 0:
         raise CliError(f"-n must be a non-negative record count, got {args.tail}")
-    if args.tail is None:
-        records = read_audit(state_dir)
-    else:
-        records = read_audit_tail(state_dir, args.tail)
-    for record in records:
+    with audit_backwards(state_dir) as (_, newest_first):
+        records = list(islice(newest_first, args.tail))
+    for record in reversed(records):
         if args.json:
             print(record.to_line().decode("utf-8"))
         else:
@@ -293,7 +290,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     rng_fw = bytes(range(256)) * 16  # 4 KiB deterministic image
     pair = keygen(scheme, seed=2024, allow_seeded=True)
     good = build_package(
-        rng_fw, version=1, mcu_id=args.mcu_id, key=pair, timestamp=HARNESS_TIMESTAMP,
+        rng_fw, version=1, mcu_id=DEFAULT_MCU_ID, key=pair, timestamp=HARNESS_TIMESTAMP,
     )
     tampered = bytearray(rng_fw)
     tampered[7] ^= 0xFF
@@ -312,7 +309,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         store = SecureStateStore.provision(pair.public, Path(tmp) / "state", durable=False)
         try:
             region = McuRegion()
-            monitor = Monitor(store, region, mcu_id=args.mcu_id)
+            monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
             print(f"provisioned anchor ({scheme.value}), counter=0")
 
             result = monitor.verify_and_lock(bad_image)
@@ -322,7 +319,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             )
 
             forged = build_package(
-                bytes(tampered), version=1, mcu_id=args.mcu_id,
+                bytes(tampered), version=1, mcu_id=DEFAULT_MCU_ID,
                 key=keygen(scheme, seed=999, allow_seeded=True),
                 timestamp=HARNESS_TIMESTAMP,
             )
@@ -342,7 +339,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             print(f"el1 overwrite   -> {outcome.value} (lock held)")
 
             stale = build_package(
-                rng_fw, version=1, mcu_id=args.mcu_id, key=pair,
+                rng_fw, version=1, mcu_id=DEFAULT_MCU_ID, key=pair,
                 timestamp=HARNESS_TIMESTAMP,
             )
             result = monitor.verify_and_lock(stale)
@@ -407,7 +404,7 @@ def _log_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check", action="store_true",
                    help="verify the hash chain and protocol replay invariants")
     p.add_argument("-n", "--tail", type=int, default=None, help="show only the last N records")
-    p.add_argument("--json", action="store_true", help="print raw JSON record lines")
+    p.add_argument("--json", action="store_true", help="print each record as faarm writes it")
     p.set_defaults(func=cmd_log)
 
 
@@ -448,7 +445,6 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
 def _demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
                    default=SignatureScheme.ED25519.value)
-    p.add_argument("--mcu-id", default=DEFAULT_MCU_ID)
     p.set_defaults(func=cmd_demo)
 
 

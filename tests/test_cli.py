@@ -190,15 +190,7 @@ class TestSignVerify:
         assert "SUCCESS: version 2" in out.out
         assert (workshop["tmp"] / "fw.pkg").read_bytes()[:4] == b"FPK1"
 
-    def test_region_dump_is_written(self, cli, workshop, tmp_path):
-        dump = tmp_path / "region.json"
-        cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]),
-            "--dump-region", str(dump))
-        payload = json.loads(dump.read_text())
-        assert payload["lock_state"] == "locked"
-
-    def test_json_with_a_region_dump_hashes_the_region_once(self, cli, workshop, tmp_path,
-                                                            monkeypatch):
+    def test_json_with_a_region_dump_hashes_the_region_once(self, cli, workshop, monkeypatch):
         hashed = []
 
         def counting_hash(data):
@@ -207,12 +199,11 @@ class TestSignVerify:
 
         monkeypatch.setattr(faarm.monitor, "hash_data", counting_hash)
         monkeypatch.setattr(faarm.mcu, "hash_data", counting_hash)
-        dump = tmp_path / "region.json"
         out = cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]),
-                  "--dump-region", str(dump), "--json")
-        # the load's own hash, and one region dump for both outputs
+                  "--json")
+        # the load's own hash, and the region dump's
         assert hashed == [len(FW)] * 2
-        assert json.loads(out.out)["region"] == json.loads(dump.read_text())
+        assert json.loads(out.out)["region"]["lock_state"] == "locked"
 
     def test_state_dir_from_environment(self, cli, workshop, monkeypatch):
         monkeypatch.setenv(STATE_ENV_VAR, str(workshop["state"]))
@@ -268,13 +259,30 @@ class TestStatusAndLog:
         assert "VERIFY_ACCEPT" in tail.out
         assert cli("log", "--state", str(workshop["state"]), "-n", "0").out == ""
         full = out.out.splitlines()
-        with mock.patch("faarm.tools.read_audit", side_effect=AssertionError("full read")):
+        # the listing and -n read the log backwards, -n only as far as it needs
+        with mock.patch("faarm.state._lines_forwards", side_effect=AssertionError("forwards")):
+            assert cli("log", "--state", str(workshop["state"])).out == out.out
             tail = cli("log", "--state", str(workshop["state"]), "-n", "2")
             assert tail.out.splitlines() == full[-2:]
             many = cli("log", "--state", str(workshop["state"]), "-n", "99")
             assert many.out.splitlines() == full
         bad = cli("log", "--state", str(workshop["state"]), "-n", "-1", expect=2)
         assert "-n" in bad.err
+
+    def test_log_names_the_newest_of_two_bad_lines(self, cli, workshop):
+        # the listing reads newest first, so the later bad line is the one it
+        # meets first; -n stops before a bad line older than what it prints
+        state = str(workshop["state"])
+        cli("verify", str(workshop["bundle"]), "--state", state)
+        log_path = workshop["state"] / "audit.log"
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        log_path.write_bytes(b"".join([b"[older]\n", *lines, b"{newer}\n", lines[-1]]))
+        out = cli("log", "--state", state, expect=2)
+        assert out.out == ""
+        assert "Expecting property name enclosed in double quotes" in out.err
+        assert "Expecting value" not in out.err
+        tail = cli("log", "--state", state, "-n", "1")
+        assert "VERIFY_ACCEPT" in tail.out
 
     def test_log_json_lines_parse(self, cli, workshop):
         out = cli("log", "--state", str(workshop["state"]), "--json")
@@ -549,6 +557,17 @@ class TestDemo:
 
 
 class TestErrorSurface:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bundle", "--lock-mode", "software-lock"],
+        ["verify", "bundle", "--dump-region", "region.json"],
+        ["demo", "--mcu-id", "X"],
+    ], ids=["verify-lock-mode", "verify-dump-region", "demo-mcu-id"])
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_firmware_file_is_usage_error(self, cli, tmp_path):
         cli("keygen", "ed25519", "--out", str(tmp_path / "k"))
         out = cli("sign", "--firmware", str(tmp_path / "missing.bin"), "--version", "1",
@@ -730,7 +749,7 @@ class TestFreshProcess:
     def test_parser_defaults_match_the_harness(self):
         scenario = next(a for a in subcommand("attack")._actions if a.dest == "scenario")
         assert scenario.choices == [k.value for k in harness.ScenarioKind]
-        for name in ("sign", "verify", "demo"):
+        for name in ("sign", "verify"):
             assert subcommand(name).get_default("mcu_id") == harness.DEFAULT_MCU_ID
 
 
@@ -763,12 +782,6 @@ class TestProcessExit:
             payload = json.loads(done.stdout)
             assert (payload["exit_code"], payload["reason"]) == (code, reason)
             assert done.stdout.endswith("}\n")
-
-    def test_the_region_dump_file_is_complete(self, workshop):
-        dump = workshop["tmp"] / "region.json"
-        done = self.verify(workshop, workshop["bundle"], "--dump-region", str(dump))
-        assert done.returncode == 0, done.stderr
-        assert json.loads(dump.read_text()) == json.loads(done.stdout)["region"]
 
     @pytest.mark.parametrize(
         "unbuffered, code, last_line",

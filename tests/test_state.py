@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from unittest import mock
@@ -27,9 +28,7 @@ from faarm.state import (
     audit_backwards,
     check_audit_chain,
     read_audit,
-    read_audit_tail,
     read_state,
-    torn_tail_bytes,
 )
 
 from conftest import traced_peak
@@ -665,6 +664,19 @@ def last(items: list, n: int) -> list:
     return items[max(len(items) - n, 0) :]
 
 
+def last_records(path, n: int) -> list:
+    """The last n records, oldest first, read as `faarm log -n` reads them:
+    newest first through audit_backwards, parsing only those n."""
+    with audit_backwards(path) as (_, records):
+        return list(islice(records, n))[::-1]
+
+
+def torn_length(path) -> int:
+    """The length of the log's torn tail, as audit_backwards reports it."""
+    with audit_backwards(path) as (torn, _):
+        return torn
+
+
 def outcome(scan, audit_path: Path):
     try:
         return scan(audit_path)
@@ -693,7 +705,7 @@ class TestAuditTail:
         assert state._scan_audit_tail(log) == expected
         records = read_audit(store.path)
         for n in (0, 1, 5, len(records) + 3):
-            assert read_audit_tail(store.path, n) == last(records, n)
+            assert last_records(store.path, n) == last(records, n)
         store.close()
         reloaded = SecureStateStore.load(store.path, durable=False)
         try:
@@ -754,11 +766,12 @@ class TestAuditTail:
             (Path(tmp) / "audit.log").write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
                 for n in (0, 1, 5, len(lines) + 1):
+                    # parsed newest first, so the newest bad line raises
                     expected = outcome(
-                        lambda tail: [AuditRecord.from_line(line) for line in tail],
+                        lambda tail: [AuditRecord.from_line(line) for line in tail[::-1]][::-1],
                         last(lines, n),
                     )
-                    assert outcome(lambda path: read_audit_tail(path, n), tmp) == expected
+                    assert outcome(lambda path: last_records(path, n), tmp) == expected
 
 
 def reference_chain(content: bytes) -> int:
@@ -942,18 +955,18 @@ class TestTornTailReaders:
         store.append_audit(AuditEvent.VERIFY_ACCEPT, version=1, digest="aa" * 32)
         store.append_audit(AuditEvent.TASK_DENY, reason="x")
         records = read_audit(store.path)
-        assert torn_tail_bytes(store.path) == 0
+        assert torn_length(store.path) == 0
         log = store.path / "audit.log"
         with open(log, "ab") as fh:
             fh.write(self.TORN)
         raw = log.read_bytes()
         assert read_audit(store.path) == records
-        assert read_audit_tail(store.path, 1) == records[-1:]
-        assert read_audit_tail(store.path, 9) == records
+        assert last_records(store.path, 1) == records[-1:]
+        assert last_records(store.path, 9) == records
         with audit_backwards(store.path) as (_, backwards):
             assert list(backwards) == records[::-1]
         assert check_audit_chain(store.path) == len(records)
-        assert torn_tail_bytes(store.path) == len(self.TORN)
+        assert torn_length(store.path) == len(self.TORN)
         assert log.read_bytes() == raw
 
     def test_a_line_longer_than_a_block_is_read_in_doubling_steps(self, tmp_path, monkeypatch):
@@ -969,7 +982,7 @@ class TestTornTailReaders:
 
         monkeypatch.setattr(state, "_TAIL_BLOCK", 16)
         monkeypatch.setattr(state, "open", lambda path, mode: CountingFile(path), raising=False)
-        assert torn_tail_bytes(tmp_path) == 100_000
+        assert torn_length(tmp_path) == 100_000
         assert len(reads) <= 14 and sum(reads) <= 2 * 100_000
         # the same long line ended, read whole either way
         (tmp_path / "audit.log").write_bytes(b"x" * 10_000 + b"\n" + b"y" * 100_000 + b"\n")
@@ -988,7 +1001,7 @@ class TestTornTailReaders:
         with audit_backwards(tmp_path) as (_, backwards):
             assert list(backwards) == []
         assert check_audit_chain(tmp_path) == 0
-        assert torn_tail_bytes(tmp_path) == 0
+        assert torn_length(tmp_path) == 0
 
     @given(TestAuditTail.log_parts, st.booleans(), st.integers(1, 64))
     def test_backwards_reader_matches_a_full_read_at_any_block_size(
@@ -1000,7 +1013,7 @@ class TestTornTailReaders:
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "audit.log").write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
-                assert torn_tail_bytes(tmp) == len(content) - end
+                assert torn_length(tmp) == len(content) - end
                 if all(isinstance(body, int) for body, _ in parts):
                     records = read_audit(tmp)
                     assert [r.to_line() for r in records] == whole_lines
@@ -1052,8 +1065,12 @@ class TestLongTornTail:
         os.truncate(log, log.stat().st_size + self.TORN)  # NUL bytes, none a line end
         return store.path, records
 
+    def backwards(self, path):
+        with audit_backwards(path) as (torn, records):
+            return torn, list(records)
+
     @pytest.mark.parametrize("reader", [
-        "scan_audit_tail", "torn_tail_bytes", "read_audit", "check_audit_chain", "read_audit_tail",
+        "scan_audit_tail", "read_audit", "check_audit_chain", "audit_backwards",
     ])
     def test_each_reader_holds_under_a_mebibyte(self, torn_store, reader):
         path, records = torn_store
@@ -1061,10 +1078,9 @@ class TestLongTornTail:
         call, expected = {
             "scan_audit_tail": (lambda: state._scan_audit_tail(path / "audit.log"),
                                 (last, hashlib.sha256(last.to_line()).hexdigest(), self.TORN)),
-            "torn_tail_bytes": (lambda: torn_tail_bytes(path), self.TORN),
             "read_audit": (lambda: read_audit(path), records),
             "check_audit_chain": (lambda: check_audit_chain(path), len(records)),
-            "read_audit_tail": (lambda: read_audit_tail(path, 3), records[-3:]),
+            "audit_backwards": (lambda: self.backwards(path), (self.TORN, records[::-1])),
         }[reader]
         result, peak = traced_peak(call)
         assert result == expected
@@ -1079,7 +1095,7 @@ class TestLongTornTail:
         assert [(r.event, r.detail) for r in after[-1:]] == [
             (AuditEvent.RECOVER, f"truncated a torn last line of {self.TORN} bytes")
         ]
-        assert torn_tail_bytes(path) == 0
+        assert torn_length(path) == 0
         assert check_audit_chain(path) == len(records) + 1
 
 
@@ -1105,14 +1121,13 @@ class TestLongWholeLine:
             return list(records)
 
     @pytest.mark.parametrize("reader", [
-        "load", "read_audit", "read_audit_tail", "audit_backwards", "check_audit_chain",
+        "load", "read_audit", "audit_backwards", "check_audit_chain",
     ])
     def test_each_reader_refuses_it_holding_about_the_limit(self, long_store, reader):
         path, records = long_store
         call = {
             "load": lambda: SecureStateStore.load(path, durable=False),
             "read_audit": lambda: read_audit(path),
-            "read_audit_tail": lambda: read_audit_tail(path, 3),
             "audit_backwards": lambda: self.backwards(path),
             "check_audit_chain": lambda: check_audit_chain(path),
         }[reader]
@@ -1127,7 +1142,7 @@ class TestLongWholeLine:
         if reader == "check_audit_chain":
             assert isinstance(error, AuditChainError)
             assert error.line_no == len(records) + 1
-        assert peak < 3 * state._LINE_LIMIT + state._SCAN_CAP
+        assert peak < 2 * state._LINE_LIMIT
 
     @pytest.mark.parametrize("length", [state._LINE_LIMIT, state._LINE_LIMIT + 1])
     def test_the_limit_counts_the_line_end(self, tmp_path, length):
