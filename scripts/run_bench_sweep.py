@@ -39,7 +39,7 @@ def main() -> int:
     sizes = (
         [int(s) for s in args.sizes.split(",")] if args.sizes else list(DEFAULT_SIZES)
     )
-    schemes = [SignatureScheme.from_name(s.strip()) for s in args.schemes.split(",")]
+    schemes = [SignatureScheme(s.strip()) for s in args.schemes.split(",")]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

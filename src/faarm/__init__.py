@@ -1,71 +1,2 @@
 """Firmware attestation toolkit: vendor signing, a verify-and-lock secure
 monitor over an emulated MCU firmware region, and an adversarial harness."""
-
-from .crypto import (
-    Digest,
-    KeyPair,
-    PublicKey,
-    Signature,
-    SignatureScheme,
-    hash_data,
-    keygen,
-    sign,
-    signing_payload,
-    verify,
-)
-from .mcu import HookPoint, LockMode, LockState, McuRegion, WriteOrigin, WriteOutcome
-from .monitor import (
-    AuthToken,
-    Monitor,
-    MonitorStatus,
-    Phase,
-    RejectionReason,
-    VerifyResult,
-)
-from .packaging import (
-    FirmwarePackage,
-    Manifest,
-    build_package,
-    canonical_bytes,
-    parse_manifest,
-    read_bundle,
-    write_bundle,
-)
-from .state import AuditEvent, AuditRecord, SecureStateStore
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AuditEvent",
-    "AuditRecord",
-    "AuthToken",
-    "Digest",
-    "FirmwarePackage",
-    "HookPoint",
-    "KeyPair",
-    "LockMode",
-    "LockState",
-    "Manifest",
-    "McuRegion",
-    "Monitor",
-    "MonitorStatus",
-    "Phase",
-    "PublicKey",
-    "RejectionReason",
-    "SecureStateStore",
-    "Signature",
-    "SignatureScheme",
-    "VerifyResult",
-    "WriteOrigin",
-    "WriteOutcome",
-    "build_package",
-    "canonical_bytes",
-    "hash_data",
-    "keygen",
-    "parse_manifest",
-    "read_bundle",
-    "sign",
-    "signing_payload",
-    "verify",
-    "write_bundle",
-]

@@ -136,20 +136,25 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The faarm parser. Every subcommand is listed, so the top-level help
-    and its errors never change; when command is given, only that
-    subcommand's arguments are filled in, since a process runs one. The
+    """The faarm parser. When command names a subcommand, only that one is
+    added, since a process runs one; its metavar lists all nine, so the
+    usage line and every error it can raise read as the full parser's.
+    Otherwise (help, no command, an unknown word) all nine are added. The
     arguments of any subcommand but verify come from tools, imported here
     only when they are needed."""
     parser = argparse.ArgumentParser(
         prog="faarm",
         description="Firmware attestation toolkit: sign, provision, verify-and-lock, attack, bench.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    named = command in dict(COMMANDS)
+    # the full parser takes no metavar: one would also rename the action in
+    # the two errors only it raises, for an unknown and a missing command
+    metavar = "{" + ",".join(name for name, _ in COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if command is not None and command != name:
+        if named and name != command:
             continue
+        p = sub.add_parser(name, help=help_text)
         if name == "verify":
             _verify_args(p)
         else:

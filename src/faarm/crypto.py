@@ -55,13 +55,6 @@ class SignatureScheme(Enum):
                 return scheme
         raise CryptoError(f"unknown public key scheme tag 0x{tag:02x}")
 
-    @classmethod
-    def from_name(cls, name: str) -> "SignatureScheme":
-        for scheme in cls:
-            if scheme.value == name:
-                return scheme
-        raise CryptoError(f"unknown signature scheme {name!r}")
-
 
 _SCHEME_TAGS = {SignatureScheme.ECDSA_P256: 0x01, SignatureScheme.ED25519: 0x02}
 _PUBLIC_KEY_SIZES = {SignatureScheme.ECDSA_P256: 33, SignatureScheme.ED25519: 32}

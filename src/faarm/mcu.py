@@ -207,13 +207,19 @@ class McuRegion:
             return len(self._content)
 
     def dump(self) -> dict:
+        """The region's fields for a report. Under hardware write-protect a
+        locked image cannot change, so its digest is the one recorded at
+        lock time; in any other state the image is hashed here."""
         with self._mutex:
+            digest = self.running_digest
+            if self.lock_state is not _LOCKED or self.lock_mode is not _HARDWARE_WP:
+                digest = hash_data(self._content)
             return {
                 "capacity": self.capacity,
                 "lock_mode": self.lock_mode.value,
                 "lock_state": self.lock_state.value,
                 "size": len(self._content),
-                "digest": hash_data(self._content).hex,
+                "digest": digest.hex,
                 "running_digest": self.running_digest.hex if self.running_digest else None,
                 "attempts": self.attempts.total(),
             }

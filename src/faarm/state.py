@@ -28,10 +28,11 @@ and cuts off a torn last line, appending a RECOVER record for each repair.
 A failed write or fsync closes the store for good, since what reached the
 disk is then unknown: only a new load() repairs the files and writes again.
 The read-only readers never write: they leave a torn last line out, which
-audit_backwards and walk_audit_chain measure. Only _open_audit finds that
-tail, by a scan back from the end that holds one block; every reader, load()
-included, reads the whole lines below it through _lines_forwards or
-_lines_backwards, which refuse a line over _LINE_LIMIT before building it.
+audit_forwards, audit_backwards and walk_audit_chain measure. Only
+_open_audit finds that tail, by a scan back from the end that holds one
+block; every reader, load() included, reads the whole lines below it
+through _lines_forwards or _lines_backwards, which refuse a line over
+_LINE_LIMIT before building it.
 A state file that is not a regular file (a FIFO, say) is refused with
 StateError, never waited on.
 """
@@ -468,19 +469,25 @@ def read_state(path: str | Path) -> tuple[PublicKey, int]:
 
 
 def read_audit(path: str | Path) -> list[AuditRecord]:
-    """Every whole record of the audit log, oldest first. Bytes after the
-    last line end (a torn write, which the next load() cuts off) are left
-    out; audit_backwards and walk_audit_chain give their length."""
-    fh, end, _ = _open_audit(Path(path) / AUDIT_NAME)
+    """Every whole record of the audit log, oldest first (see audit_forwards)."""
+    with audit_forwards(path) as (_, records):
+        return list(records)
+
+
+@contextmanager
+def audit_forwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
+    """The length of the log's torn tail (bytes after its last line end,
+    which the next load() cuts off) and its whole records, oldest first and
+    read only as far as the caller iterates, from one open of the log, which
+    stays open until the with block ends."""
+    fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
-        return [AuditRecord.from_line(line) for line in _lines_forwards(fh, end) if line]
+        yield torn, map(AuditRecord.from_line, filter(None, _lines_forwards(fh, end)))
 
 
 @contextmanager
 def audit_backwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
-    """The length of the log's torn tail (see read_audit) and its whole
-    records, newest first and read only as far as the caller iterates, from
-    one open of the log, which stays open until the with block ends."""
+    """As audit_forwards, but the records come newest first."""
     fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
         yield torn, map(AuditRecord.from_line, filter(None, _lines_backwards(fh, end)))
@@ -489,17 +496,17 @@ def audit_backwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecor
 def check_audit_chain(path: str | Path) -> int:
     """Walk the full hash chain of the whole records; returns the record
     count, raises AuditChainError at the first broken link, gap, or
-    malformed line. A torn tail is left out, as in read_audit."""
+    malformed line. A torn tail is left out, as in audit_forwards."""
     with walk_audit_chain(path) as (_, records):
         return sum(1 for _ in records)
 
 
 @contextmanager
 def walk_audit_chain(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
-    """As audit_backwards, but the records come oldest first, each once its
-    link to the line before checks out; AuditChainError is raised at the
-    first broken link, gap, malformed line, or line over _LINE_LIMIT. Each
-    line is read and parsed once, so a caller can check records as they come."""
+    """As audit_forwards, but each record comes once its link to the line
+    before checks out; AuditChainError is raised at the first broken link,
+    gap, malformed line, or line over _LINE_LIMIT. Each line is read and
+    parsed once, so a caller can check records as they come."""
     fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
         yield torn, _chain(_lines_forwards(fh, end))

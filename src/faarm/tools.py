@@ -35,6 +35,7 @@ from .state import (
     NotProvisionedError,
     SecureStateStore,
     audit_backwards,
+    audit_forwards,
     read_state,
     walk_audit_chain,
 )
@@ -73,7 +74,7 @@ def _status_from(state_dir: str | Path, records: Iterable[AuditRecord]) -> Monit
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
-    scheme = SignatureScheme.from_name(args.scheme)
+    scheme = SignatureScheme(args.scheme)
     if args.seed is not None and not args.test_fixtures:
         raise CliError("--seed is a test-fixture facility; pass --test-fixtures to allow it")
     prefix = Path(args.out)
@@ -194,22 +195,26 @@ def cmd_log(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.tail is not None and args.tail < 0:
         raise CliError(f"-n must be a non-negative record count, got {args.tail}")
-    with audit_backwards(state_dir) as (_, newest_first):
-        records = list(islice(newest_first, args.tail))
-    for record in reversed(records):
-        if args.json:
-            print(record.to_line().decode("utf-8"))
-        else:
-            fields = [f"#{record.seq}", record.time, record.event.value]
-            if record.version is not None:
-                fields.append(f"v{record.version}")
-            if record.reason:
-                fields.append(record.reason)
-            if record.digest:
-                fields.append(record.digest[:16])
-            if record.detail:
-                fields.append(record.detail)
-            print(" ".join(fields))
+    # the full listing prints each record as it is read, so it holds one at a
+    # time; -n reads back only as far as it prints
+    reader = audit_forwards if args.tail is None else audit_backwards
+    with reader(state_dir) as (_, records):
+        if args.tail is not None:
+            records = reversed(list(islice(records, args.tail)))
+        for record in records:
+            if args.json:
+                print(record.to_line().decode("utf-8"))
+            else:
+                fields = [f"#{record.seq}", record.time, record.event.value]
+                if record.version is not None:
+                    fields.append(f"v{record.version}")
+                if record.reason:
+                    fields.append(record.reason)
+                if record.digest:
+                    fields.append(record.digest[:16])
+                if record.detail:
+                    fields.append(record.detail)
+                print(" ".join(fields))
     return EXIT_OK
 
 
@@ -231,7 +236,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             seed=args.seed,
             lock_mode=LockMode(args.lock_mode),
             firmware_size=args.firmware_size,
-            scheme=SignatureScheme.from_name(args.scheme),
+            scheme=SignatureScheme(args.scheme),
         )
     except harness.HarnessError as exc:
         raise CliError(str(exc)) from None
@@ -266,7 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             runs=args.runs,
             warmup=args.warmup,
             seed=args.seed,
-            scheme=SignatureScheme.from_name(args.scheme),
+            scheme=SignatureScheme(args.scheme),
             lock_mode=LockMode(args.lock_mode),
         )
     except harness.HarnessError as exc:
@@ -286,7 +291,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     from .harness import HARNESS_TIMESTAMP, BaselineLoader
 
-    scheme = SignatureScheme.from_name(args.scheme)
+    scheme = SignatureScheme(args.scheme)
     rng_fw = bytes(range(256)) * 16  # 4 KiB deterministic image
     pair = keygen(scheme, seed=2024, allow_seeded=True)
     good = build_package(

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -18,7 +20,7 @@ from faarm.crypto import KeyPair, hash_data
 from faarm.cli import DEFAULT_STATE_DIR, STATE_ENV_VAR, build_parser, main, parse_size
 from faarm.state import AuditEvent, AuditRecord, SecureStateStore, read_audit
 
-from conftest import crash_after_lock_then_accept_unlocked
+from conftest import crash_after_lock_then_accept_unlocked, traced_peak
 
 FW = bytes((i * 37) % 256 for i in range(4096))
 COMMANDS = ["keygen", "sign", "provision", "verify", "status", "log", "attack", "bench", "demo"]
@@ -201,9 +203,12 @@ class TestSignVerify:
         monkeypatch.setattr(faarm.mcu, "hash_data", counting_hash)
         out = cli("verify", str(workshop["bundle"]), "--state", str(workshop["state"]),
                   "--json")
-        # the load's own hash, and the region dump's
-        assert hashed == [len(FW)] * 2
-        assert json.loads(out.out)["region"]["lock_state"] == "locked"
+        # the load's own hash: the dump of a hardware-locked region reports
+        # the digest recorded at lock time
+        assert hashed == [len(FW)]
+        payload = json.loads(out.out)
+        assert payload["region"]["lock_state"] == "locked"
+        assert payload["region"]["digest"] == payload["digest"] == hash_data(FW).hex
 
     def test_state_dir_from_environment(self, cli, workshop, monkeypatch):
         monkeypatch.setenv(STATE_ENV_VAR, str(workshop["state"]))
@@ -259,9 +264,10 @@ class TestStatusAndLog:
         assert "VERIFY_ACCEPT" in tail.out
         assert cli("log", "--state", str(workshop["state"]), "-n", "0").out == ""
         full = out.out.splitlines()
-        # the listing and -n read the log backwards, -n only as far as it needs
-        with mock.patch("faarm.state._lines_forwards", side_effect=AssertionError("forwards")):
+        # the listing reads the log forwards, -n backwards and only as far as it needs
+        with mock.patch("faarm.state._lines_backwards", side_effect=AssertionError("backwards")):
             assert cli("log", "--state", str(workshop["state"])).out == out.out
+        with mock.patch("faarm.state._lines_forwards", side_effect=AssertionError("forwards")):
             tail = cli("log", "--state", str(workshop["state"]), "-n", "2")
             assert tail.out.splitlines() == full[-2:]
             many = cli("log", "--state", str(workshop["state"]), "-n", "99")
@@ -269,20 +275,47 @@ class TestStatusAndLog:
         bad = cli("log", "--state", str(workshop["state"]), "-n", "-1", expect=2)
         assert "-n" in bad.err
 
-    def test_log_names_the_newest_of_two_bad_lines(self, cli, workshop):
-        # the listing reads newest first, so the later bad line is the one it
-        # meets first; -n stops before a bad line older than what it prints
+    def test_log_lists_the_records_before_the_first_bad_line(self, cli, workshop):
+        # the listing prints each record as it reads forwards, so it prints
+        # those before the first bad line and then names that one; -n reads
+        # backwards and stops before a bad line older than what it prints
         state = str(workshop["state"])
         cli("verify", str(workshop["bundle"]), "--state", state)
+        listing = cli("log", "--state", state).out.splitlines(keepends=True)
         log_path = workshop["state"] / "audit.log"
         lines = log_path.read_bytes().splitlines(keepends=True)
-        log_path.write_bytes(b"".join([b"[older]\n", *lines, b"{newer}\n", lines[-1]]))
+        log_path.write_bytes(b"".join([*lines[:2], b"[first]\n", *lines[2:],
+                                       b"{second}\n", lines[-1]]))
         out = cli("log", "--state", state, expect=2)
-        assert out.out == ""
-        assert "Expecting property name enclosed in double quotes" in out.err
-        assert "Expecting value" not in out.err
+        assert out.out == "".join(listing[:2])
+        assert out.err.startswith("error: unparseable audit record (Expecting value")
+        assert "Expecting property name" not in out.err
         tail = cli("log", "--state", state, "-n", "1")
         assert "VERIFY_ACCEPT" in tail.out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_the_listing_holds_one_record_at_a_time(self, workshop, json_flag):
+        # EL1 sets the log's length: a denied-write flood grows it without
+        # bound, so the listing's peak must not grow with the record count
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        argv = ["log", "--state", str(workshop["state"]), *json_flag]
+
+        def listing_peak(records):
+            with SecureStateStore.load(workshop["state"], durable=False) as store:
+                for i in range(records):
+                    store.append_audit(AuditEvent.WRITE_DENIED,
+                                       detail=f"el1 write denied (locked) offset={i} len=4")
+            with contextlib.redirect_stdout(Discard()):
+                code, peak = traced_peak(lambda: main(argv))
+            assert code == 0
+            return peak
+
+        small = listing_peak(2000)
+        large = listing_peak(6000)  # 8,000 records, four times the first
+        assert large < small * 1.1, (small, large)
 
     def test_log_json_lines_parse(self, cli, workshop):
         out = cli("log", "--state", str(workshop["state"]), "--json")
@@ -580,10 +613,16 @@ class TestErrorSurface:
                   str(tmp_path / "nowhere"), expect=2)
         assert "error:" in out.err
 
+    # a named command builds only its own subparser: every usage error it can
+    # raise must read as the full parser's
     @pytest.mark.parametrize(
         "argv",
         [[], ["--help"], *([name, "--help"] for name in COMMANDS), ["verify"],
-         ["verify", "b", "--bogus"], ["bogus"], ["-x", "verify", "b"]],
+         ["verify", "b", "--bogus"], ["bogus"], ["-x", "verify", "b"],
+         ["verify", "b", "--capacity", "0"], ["status", "extra"], ["status", "--state"],
+         ["status", "--", "x"], ["log", "-n", "x"], ["keygen"], ["keygen", "rsa", "--out", "k"],
+         ["sign"], ["sign", "--version", "x"], ["provision"], ["attack", "--scenario", "nope"],
+         ["bench", "--size", "0"], ["demo", "x"], ["demo", "--scheme", "x"]],
         ids=" ".join,
     )
     def test_main_parses_like_the_full_parser(self, capsys, argv):
@@ -599,9 +638,10 @@ class TestErrorSurface:
         with mock.patch("faarm.cli.build_parser", wraps=build_parser) as spy:
             cli("status", "--state", str(tmp_path))
         spy.assert_called_once_with("status")
-        filled = {name: len(sub._actions) > 1
-                  for name, sub in subparsers(build_parser("status")).items()}
-        assert filled == {name: name == "status" for name in COMMANDS}
+        for command, names in (("status", ["status"]), ("bogus", COMMANDS), (None, COMMANDS)):
+            filled = {name: len(sub._actions) > 1
+                      for name, sub in subparsers(build_parser(command)).items()}
+            assert filled == dict.fromkeys(names, True)
 
     def test_default_state_dir_constant(self):
         assert DEFAULT_STATE_DIR == "./faarm-state"
@@ -712,6 +752,36 @@ class TestFreshProcess:
         assert not {"faarm.tools", "faarm.harness", "secrets", "tempfile", "statistics",
                     "dataclasses", "inspect",
                     "cryptography.hazmat.primitives.serialization"} & set(loaded)
+
+    def test_the_package_imports_nothing_and_every_benchmark_name_resolves(self):
+        # the package has no facade: a reader that imports state loads state
+        # and what state needs, and the names the benchmark imports from each
+        # module, or wraps on it, are all there
+        probe = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import faarm.state\n"
+            "loaded = sorted(n for n in set(sys.modules) - before if n.startswith('faarm'))\n"
+            "from faarm.cli import main, run\n"
+            "from faarm.crypto import Digest, SignatureScheme, keygen, sign, signing_payload\n"
+            "from faarm.mcu import LockMode, McuRegion\n"
+            "from faarm.monitor import Monitor, replay_protocol_invariants\n"
+            "from faarm.packaging import (FIRMWARE_NAME, FLAG_REQUIRES_LOCK, MANIFEST_NAME,\n"
+            "    SIGNATURE_NAME, FirmwarePackage, Manifest, build_package, canonical_bytes,\n"
+            "    write_bundle)\n"
+            "from faarm.state import (AuditEvent, SecureStateStore, check_audit_chain,\n"
+            "    read_audit, read_state)\n"
+            f"sys.path.insert(0, {str(SRC.parent / 'perfbench')!r})\n"
+            "from spans import layer_targets\n"
+            "missing = [f'{owner.__name__}.{name}' for owner, name, *_ in layer_targets()\n"
+            "           if not hasattr(owner, name)]\n"
+            "print(json.dumps([loaded, missing]))\n"
+        )
+        done = run_fresh("-c", probe)
+        assert done.returncode == 0, done.stderr
+        loaded, missing = json.loads(done.stdout)
+        assert loaded == ["faarm", "faarm.crypto", "faarm.state"]
+        assert missing == []
 
     def test_ecdsa_verify_accepts_without_the_openssl_backend(self, cli, tmp_path):
         # in-process runs cannot see this: sign() loads the backend first

@@ -818,6 +818,28 @@ class TestStatus:
         assert status.current_version == 1
         assert status.current_digest == hash_data(FW)
 
+    @pytest.mark.parametrize("lock_mode", list(LockMode), ids=lambda mode: mode.value)
+    def test_region_dump_digest_is_a_fresh_hash_of_the_image(self, make_env, lock_mode):
+        # a hardware-locked region's dump reports the digest recorded at lock
+        # time without hashing; in every state it must read as a fresh hash
+        env = make_env(lock_mode=lock_mode)
+        region = env.region
+
+        def check(lock_state):
+            dumped = region.dump()
+            assert dumped["lock_state"] == lock_state
+            assert dumped["digest"] == hash_data(region.read()).hex
+
+        check("unlocked")  # before a load: the empty image
+        assert env.monitor.verify_and_lock(env.package(FW, 1)).accepted
+        check("locked")
+        tampered = region.tamper_test_hook(0, b"\xff")
+        assert (tampered is WriteOutcome.APPLIED) == (lock_mode is LockMode.SOFTWARE_LOCK)
+        check("locked")
+        region.fail_next_lock = True
+        assert env.monitor.verify_and_lock(env.package(FW[::-1], 2, flags=())).accepted
+        check("unlocked")  # a tolerated lock fault
+
     def test_derive_status_sees_quarantine(self, make_env):
         env = make_env(lock_mode=LockMode.SOFTWARE_LOCK)
         env.monitor.verify_and_lock(env.package(FW, 1))
