@@ -6,6 +6,14 @@ an unquoted integer, the hash as 64 lowercase hex characters. Parsing is
 strict: any byte sequence that is not exactly the canonical serialization of a
 valid manifest is rejected, which closes whitespace/key-order/escape/number
 malleability in one check.
+
+A Manifest keeps its canonical bytes once they are built; one parsed from
+a bundle holds the very bytes it was parsed from. read_bundle looks the
+manifest up in a memo of the last MANIFEST_MEMO_ENTRIES parses, keyed on the
+exact manifest bytes, so a replayed bundle is parsed once. This is sound
+because the parse is a pure function of those bytes and a Manifest is
+immutable. A parse that fails is not remembered, and a manifest not seen
+lately is parsed in full. parse_manifest itself remembers nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import os
 import stat
 import struct
 from datetime import datetime, timedelta, timezone
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,6 +45,9 @@ DEFAULT_MCU_ID = "MALI-MCU-XYZ"
 MANIFEST_KEYS = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 FLAG_REQUIRES_LOCK = "requires_lock"
 MAX_MANIFEST_BYTES = 64 * 1024
+# read_bundle's remembered parses: at most this many manifests of at most
+# MAX_MANIFEST_BYTES each, about 2 MiB with their parsed strings
+MANIFEST_MEMO_ENTRIES = 16
 MAX_VERSION = 2**64 - 1  # an unsigned 64-bit sequence number; the counter holds 20 digits
 
 FIRMWARE_NAME = "firmware.bin"
@@ -96,7 +107,10 @@ class Manifest(Frozen):
     that equal flag sets always canonicalize to identical bytes.
     """
 
-    __slots__ = _fields = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
+    __slots__ = ("version", "mcu_id", "timestamp", "firmware_hash", "flags", "_canonical")
+    # _canonical is the canonical serialization, unset until canonical_bytes()
+    # or parse_manifest sets it; it is not part of equality, hash or repr
+    _fields = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 
     def __init__(
         self,
@@ -130,11 +144,23 @@ class Manifest(Frozen):
 
 def canonical_bytes(manifest: Manifest) -> bytes:
     """The unique byte serialization of a manifest; input to hashing/signing.
-    These are the bytes of json.dumps(obj, separators=(",", ":"),
-    ensure_ascii=False) encoded as UTF-8, where obj maps the keys of
-    MANIFEST_KEYS in order to the fields, the hash as hex and the flags as a
-    list. Assembled directly, since json.dumps builds a new encoder on every
-    call."""
+    Built on the first call and kept in the manifest, which a manifest from
+    parse_manifest already holds. A field that UTF-8 cannot encode raises
+    UnicodeEncodeError here, not at construction."""
+    try:
+        return manifest._canonical
+    except AttributeError:
+        raw = _serialize(manifest)
+        object.__setattr__(manifest, "_canonical", raw)
+        return raw
+
+
+def _serialize(manifest: Manifest) -> bytes:
+    """The canonical serialization of a manifest's fields: the bytes of
+    json.dumps(obj, separators=(",", ":"), ensure_ascii=False) encoded as
+    UTF-8, where obj maps the keys of MANIFEST_KEYS in order to the fields,
+    the hash as hex and the flags as a list. Assembled directly, since
+    json.dumps builds a new encoder on every call."""
     flags = ",".join(map(encode_basestring, manifest.flags))
     return (
         f'{{"version":{int.__repr__(manifest.version)},'
@@ -180,9 +206,23 @@ def parse_manifest(raw: bytes) -> Manifest:
         firmware_hash=digest,
         flags=tuple(flags),
     )
-    if canonical_bytes(manifest) != raw:
+    try:
+        canonical = _serialize(manifest)
+    except UnicodeEncodeError:  # an escaped lone surrogate has no UTF-8 form
+        canonical = None
+    if canonical != raw:
         raise ManifestError("manifest", "not in canonical serialization")
+    # the equal input, so that a memo entry keyed on raw holds its bytes once
+    object.__setattr__(manifest, "_canonical", raw)
     return manifest
+
+
+@lru_cache(maxsize=MANIFEST_MEMO_ENTRIES)
+def _remembered_manifest(raw: bytes) -> Manifest:
+    """parse_manifest(raw), remembered for the last MANIFEST_MEMO_ENTRIES
+    distinct raw byte strings that parsed; an error propagates and is not
+    remembered. The module-level name is looked up on each miss."""
+    return parse_manifest(raw)
 
 
 class FirmwarePackage(NamedTuple):
@@ -303,14 +343,14 @@ def read_bundle(
 
 def _parse_parts(manifest_part: _Part, signature_part: _Part) -> tuple[Manifest, Signature]:
     """Check the (size, body) of the manifest and the signature, in that
-    order, then parse the manifest."""
+    order, then parse the manifest, or take it from the memo."""
     manifest_size, manifest_raw = manifest_part
     signature_size, signature_raw = signature_part
     if manifest_size > MAX_MANIFEST_BYTES:
         raise BundleError(MANIFEST_NAME, f"exceeds {MAX_MANIFEST_BYTES} bytes")
     if signature_size != SIGNATURE_SIZE:
         raise BundleError(SIGNATURE_NAME, f"must be {SIGNATURE_SIZE} bytes, got {signature_size}")
-    return parse_manifest(manifest_raw), Signature(signature_raw, None)
+    return _remembered_manifest(manifest_raw), Signature(signature_raw, None)
 
 
 def _open_directory(dir_fd: int, fds: list[int]) -> _Opened:

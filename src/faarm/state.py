@@ -479,18 +479,36 @@ def audit_forwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord
     """The length of the log's torn tail (bytes after its last line end,
     which the next load() cuts off) and its whole records, oldest first and
     read only as far as the caller iterates, from one open of the log, which
-    stays open until the with block ends."""
+    stays open until the with block ends. A line that is malformed or over
+    _LINE_LIMIT raises StateError naming it as `audit.log line N`, the
+    number walk_audit_chain gives it."""
     fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
-        yield torn, map(AuditRecord.from_line, filter(None, _lines_forwards(fh, end)))
+        yield torn, _records(_lines_forwards(fh, end), "")
 
 
 @contextmanager
 def audit_backwards(path: str | Path) -> Iterator[tuple[int, Iterator[AuditRecord]]]:
-    """As audit_forwards, but the records come newest first."""
+    """As audit_forwards, but the records come newest first, and a bad line
+    is named as `audit.log line N from the end`, the last whole line being 1."""
     fh, end, torn = _open_audit(Path(path) / AUDIT_NAME)
     with fh:
-        yield torn, map(AuditRecord.from_line, filter(None, _lines_backwards(fh, end)))
+        yield torn, _records(_lines_backwards(fh, end), " from the end")
+
+
+def _records(lines: Iterator[bytes], where: str) -> Iterator[AuditRecord]:
+    """The records of the non-blank lines, in the order they come. Lines are
+    counted from 1 as they come, blank ones too, and the StateError of a line
+    that is malformed or over _LINE_LIMIT is raised again with its number,
+    followed by `where`."""
+    number = 1
+    try:
+        for line in lines:
+            if line:
+                yield AuditRecord.from_line(line)
+            number += 1
+    except StateError as exc:
+        raise StateError(f"{AUDIT_NAME} line {number}{where}: {exc}") from None
 
 
 def check_audit_chain(path: str | Path) -> int:

@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from faarm import crypto
-from faarm.crypto import KeyPair, SignatureScheme, keygen
+from faarm import crypto, packaging
+from faarm.crypto import KeyPair, Signature, SignatureScheme, keygen
 from faarm.mcu import LockMode, LockState, McuRegion
-from faarm.monitor import Monitor
-from faarm.packaging import PKG_MAGIC, FirmwarePackage, build_package
+from faarm.monitor import Monitor, RejectionReason
+from faarm.packaging import FLAG_REQUIRES_LOCK, PKG_MAGIC, FirmwarePackage, build_package
 from faarm.state import SecureStateStore
 
 settings.register_profile(
@@ -27,6 +27,7 @@ settings.load_profile("default")
 
 TEST_MCU_ID = "MALI-MCU-XYZ"
 TEST_TIMESTAMP = "2025-10-10T12:00:00Z"
+FW = bytes(range(256)) * 8  # 2 KiB
 
 
 def write_container(path: Path, sections) -> Path:
@@ -69,6 +70,14 @@ def verify_calls(monkeypatch) -> list:
     monkeypatch.setattr(crypto, "_verified", {})
     monkeypatch.setattr(crypto, "_signature_valid", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def manifest_memo():
+    """Empties read_bundle's manifest memo before each test, so that no test
+    is answered from a parse another made; returns the memo."""
+    packaging._remembered_manifest.cache_clear()
+    return packaging._remembered_manifest
 
 
 class LoadCrash(RuntimeError):
@@ -157,3 +166,34 @@ def make_env(tmp_path, ed25519_key):
 @pytest.fixture
 def env(make_env) -> Env:
     return make_env()
+
+
+# The faults a bundle can carry, in the order the monitor's gates find them.
+# A bundle with several faults rejects at the earliest.
+GATE_ORDER = (
+    ("oversize", RejectionReason.OVERSIZE),
+    ("zeroed-signature", RejectionReason.BAD_SIGNATURE),
+    ("wrong-mcu-id", RejectionReason.MALFORMED_BUNDLE),
+    ("old-version", RejectionReason.ROLLBACK),
+    ("unknown-flag", RejectionReason.UNKNOWN_FLAG),
+    ("tampered-image", RejectionReason.HASH_MISMATCH),
+)
+
+
+def faulty_package(env, faults):
+    """A package for a region of capacity len(FW) that holds version 5:
+    version 6 of FW[::-1], signed by env's key, with each fault that
+    `faults`, a set of GATE_ORDER's names, holds; an empty set gives a
+    bundle that loads."""
+    image = FW * 2 if "oversize" in faults else FW[::-1]
+    kwargs = {}
+    if "wrong-mcu-id" in faults:
+        kwargs["mcu_id"] = "SOME-OTHER-MCU"
+    if "unknown-flag" in faults:
+        kwargs["flags"] = (FLAG_REQUIRES_LOCK, "debug_unlock")
+    pkg = env.package(image, 1 if "old-version" in faults else 6, **kwargs)
+    if "tampered-image" in faults:
+        pkg = pkg._replace(firmware=bytes([image[0] ^ 1]) + image[1:])
+    if "zeroed-signature" in faults:
+        pkg = pkg._replace(signature=Signature(bytes(64)))
+    return pkg

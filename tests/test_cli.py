@@ -277,8 +277,9 @@ class TestStatusAndLog:
 
     def test_log_lists_the_records_before_the_first_bad_line(self, cli, workshop):
         # the listing prints each record as it reads forwards, so it prints
-        # those before the first bad line and then names that one; -n reads
-        # backwards and stops before a bad line older than what it prints
+        # those before the first bad line and then names that one by the
+        # number log --check gives it; -n reads backwards, stops before a bad
+        # line older than what it prints, and counts a bad line from the end
         state = str(workshop["state"])
         cli("verify", str(workshop["bundle"]), "--state", state)
         listing = cli("log", "--state", state).out.splitlines(keepends=True)
@@ -288,10 +289,17 @@ class TestStatusAndLog:
                                        b"{second}\n", lines[-1]]))
         out = cli("log", "--state", state, expect=2)
         assert out.out == "".join(listing[:2])
-        assert out.err.startswith("error: unparseable audit record (Expecting value")
+        assert out.err.startswith(
+            "error: audit.log line 3: unparseable audit record (Expecting value")
         assert "Expecting property name" not in out.err
+        check = cli("log", "--state", state, "--check", expect=1)
+        assert check.err.startswith("audit check FAILED: audit.log line 3: ")
         tail = cli("log", "--state", state, "-n", "1")
         assert "VERIFY_ACCEPT" in tail.out
+        past = cli("log", "--state", state, "-n", "2", expect=2)
+        assert past.out == ""
+        assert past.err.startswith("error: audit.log line 2 from the end: unparseable audit "
+                                   "record (Expecting property name")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_the_listing_holds_one_record_at_a_time(self, workshop, json_flag):

@@ -33,13 +33,15 @@ from faarm.state import AuditEvent, SecureStateStore, StateError, check_audit_ch
 from faarm.tools import derive_status
 
 from conftest import (
+    FW,
+    GATE_ORDER,
     TEST_TIMESTAMP,
     crash_after_lock_then_accept_unlocked,
+    faulty_package,
     traced_peak,
     write_container,
 )
 
-FW = bytes(range(256)) * 8  # 2 KiB
 GIB = 1 << 30
 
 
@@ -124,36 +126,26 @@ class TestAcceptPath:
             assert env.monitor.verify_and_lock(env.package(image, version)).accepted
             assert hashed == [len(image)]
 
+    @pytest.mark.parametrize("name", ["bundle", "bundle.pkg"])
+    def test_a_bundle_load_builds_the_canonical_manifest_once(
+        self, env, tmp_path, monkeypatch, name
+    ):
+        # the parse builds it to compare with the file, and the signature gate
+        # takes the bytes the manifest keeps; a replay is answered by the
+        # manifest memo and builds none
+        built = []
+        serialize = packaging._serialize
 
-# The faults a bundle can carry, in the order the monitor's gates find them.
-# A bundle with several faults rejects at the earliest.
-GATE_ORDER = (
-    ("oversize", RejectionReason.OVERSIZE),
-    ("zeroed-signature", RejectionReason.BAD_SIGNATURE),
-    ("wrong-mcu-id", RejectionReason.MALFORMED_BUNDLE),
-    ("old-version", RejectionReason.ROLLBACK),
-    ("unknown-flag", RejectionReason.UNKNOWN_FLAG),
-    ("tampered-image", RejectionReason.HASH_MISMATCH),
-)
+        def counting(manifest):
+            built.append(manifest.version)
+            return serialize(manifest)
 
-
-def faulty_package(env, faults):
-    """A package for a region of capacity len(FW) that holds version 5:
-    version 6 of FW[::-1], signed by env's key, with each fault that
-    `faults`, a set of GATE_ORDER's names, holds; an empty set gives a
-    bundle that loads."""
-    image = FW * 2 if "oversize" in faults else FW[::-1]
-    kwargs = {}
-    if "wrong-mcu-id" in faults:
-        kwargs["mcu_id"] = "SOME-OTHER-MCU"
-    if "unknown-flag" in faults:
-        kwargs["flags"] = (FLAG_REQUIRES_LOCK, "debug_unlock")
-    pkg = env.package(image, 1 if "old-version" in faults else 6, **kwargs)
-    if "tampered-image" in faults:
-        pkg = pkg._replace(firmware=bytes([image[0] ^ 1]) + image[1:])
-    if "zeroed-signature" in faults:
-        pkg = pkg._replace(signature=Signature(bytes(64)))
-    return pkg
+        path = write_bundle(env.package(FW, 1), tmp_path / name)
+        monkeypatch.setattr(packaging, "_serialize", counting)
+        assert env.monitor.verify_bundle(path).accepted
+        assert built == [1]
+        assert env.monitor.verify_bundle(path).reason is RejectionReason.ROLLBACK
+        assert built == [1]
 
 
 class TestRejections:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import struct
 import threading
 import tracemalloc
@@ -17,8 +18,10 @@ from faarm.crypto import (
     signing_payload,
     verify,
 )
+from faarm.monitor import RejectionReason
 from faarm.packaging import (
     FLAG_REQUIRES_LOCK,
+    MANIFEST_MEMO_ENTRIES,
     MAX_MANIFEST_BYTES,
     MAX_VERSION,
     PKG_MAGIC,
@@ -32,8 +35,17 @@ from faarm.packaging import (
     read_bundle,
     write_bundle,
 )
+from faarm.state import read_audit
 
-from conftest import TEST_MCU_ID, TEST_TIMESTAMP, traced_peak, write_container
+from conftest import (
+    FW,
+    GATE_ORDER,
+    TEST_MCU_ID,
+    TEST_TIMESTAMP,
+    faulty_package,
+    traced_peak,
+    write_container,
+)
 
 # Frozen fixture: the reference manifest and its canonical serialization.
 FIXTURE_HASH = "f1ad9a781903e0a6ca7f0197d5036ceb4d74ce173f000f3006e6cdb4bdf1d654"
@@ -128,6 +140,22 @@ class TestCanonicalForm:
     def test_non_ascii_mcu_id_roundtrips(self):
         m = make_manifest(mcu_id="MCU-über-1")
         assert parse_manifest(canonical_bytes(m)) == m
+
+    def test_a_parsed_manifest_keeps_its_input_as_its_canonical_bytes(self):
+        raw = bytes(FIXTURE_CANONICAL)
+        parsed = parse_manifest(raw)
+        assert canonical_bytes(parsed) is raw
+
+    def test_the_kept_bytes_change_no_equality_hash_repr_or_pickle(self):
+        built = make_manifest()
+        parsed = parse_manifest(canonical_bytes(built))
+        fresh = make_manifest()  # its canonical bytes not built yet
+        for manifest in (built, parsed):
+            assert manifest == fresh and hash(manifest) == hash(fresh)
+            assert repr(manifest) == repr(fresh)
+            copy = pickle.loads(pickle.dumps(manifest))
+            assert copy == fresh and canonical_bytes(copy) == canonical_bytes(built)
+        assert pickle.dumps(built) == pickle.dumps(fresh)
 
     @given(
         version=st.integers(min_value=1, max_value=MAX_VERSION),
@@ -263,6 +291,12 @@ class TestStrictParse:
             b'["requires_lock"]', b'["requires_lock","a_flag"]'
         )
         with pytest.raises(ManifestError, match="canonical"):
+            parse_manifest(raw)
+
+    def test_an_escaped_lone_surrogate_is_not_canonical(self):
+        # json.loads gives the surrogate, which has no UTF-8 form to compare
+        raw = FIXTURE_CANONICAL.replace(b'"MALI-MCU-XYZ"', b'"\\ud800"')
+        with pytest.raises(ManifestError, match="not in canonical serialization"):
             parse_manifest(raw)
 
     def test_duplicate_flags_in_raw_rejected(self):
@@ -606,3 +640,122 @@ class TestBundles:
         payload = signing_payload(hash_data(fw), canonical_bytes(pkg.manifest))
         assert not verify(ed25519_key.public, payload, bytes(sig_mut))
         assert path.is_dir()
+
+
+def max_size_manifest(version: int) -> bytes:
+    """The canonical bytes of a valid manifest of exactly MAX_MANIFEST_BYTES,
+    its mcu_id padded to fill them."""
+    short = len(canonical_bytes(make_manifest(version=version, mcu_id="M")))
+    padded = make_manifest(version=version, mcu_id="M" * (1 + MAX_MANIFEST_BYTES - short))
+    return canonical_bytes(padded)
+
+
+class TestManifestMemo:
+    """read_bundle's memo of parsed manifests, which the manifest_memo
+    fixture empties before each test."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list:
+        """The raw bytes of each call that reaches parse_manifest."""
+        calls = []
+        parse = packaging.parse_manifest
+
+        def counting(raw):
+            calls.append(raw)
+            return parse(raw)
+
+        monkeypatch.setattr(packaging, "parse_manifest", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["bundle", "bundle.pkg"])
+    def test_a_replayed_bundle_is_parsed_once(self, tmp_path, ed25519_key, parses, name):
+        pkg = build_package(FW, version=1, mcu_id=TEST_MCU_ID, key=ed25519_key,
+                            timestamp=TEST_TIMESTAMP)
+        path = write_bundle(pkg, tmp_path / name)
+        for _ in range(4):
+            assert read_bundle(path).manifest == pkg.manifest
+        raw = canonical_bytes(pkg.manifest)
+        assert parses == [raw]
+        # one byte differs: version 1 becomes 2
+        bumped = raw.replace(b'"version":1,', b'"version":2,')
+        assert sum(a != b for a, b in zip(raw, bumped)) == 1
+        manifest = parse_manifest(bumped)
+        path = write_bundle(pkg._replace(manifest=manifest), tmp_path / f"bumped-{name}")
+        del parses[:]
+        for _ in range(2):
+            assert read_bundle(path).manifest == manifest
+        assert parses == [bumped]
+
+    @pytest.mark.parametrize("manifest", [
+        b" " + FIXTURE_CANONICAL,
+        FIXTURE_CANONICAL[:-1],
+        FIXTURE_CANONICAL.replace(b'"MALI-MCU-XYZ"', b'"\\ud800"'),
+        FIXTURE_CANONICAL.replace(b'"version":3', b'"version":0'),
+    ], ids=["whitespace", "truncated", "lone-surrogate", "version-zero"])
+    def test_a_failing_manifest_fails_alike_and_is_never_remembered(
+        self, tmp_path, ed25519_key, manifest_memo, parses, manifest
+    ):
+        pkg = build_package(FW, version=1, mcu_id=TEST_MCU_ID, key=ed25519_key,
+                            timestamp=TEST_TIMESTAMP)
+        path = write_bundle(pkg, tmp_path / "bundle")
+        (path / "manifest.json").write_bytes(manifest)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ManifestError) as info:
+                read_bundle(path)
+            errors.append(str(info.value))
+            assert manifest_memo.cache_info().currsize == 0
+        assert errors == 3 * errors[:1]
+        assert len(parses) == 3
+
+    @pytest.mark.parametrize("case", [
+        "accept", *(fault for fault, _ in GATE_ORDER), "lock-failed", "non-canonical",
+    ])
+    def test_a_hit_and_a_miss_give_the_same_result_and_audit(
+        self, make_env, tmp_path, manifest_memo, parses, case
+    ):
+        # every reason a bundle can get, from two devices that hold version 5:
+        # the first parses the manifest, the second is answered by the memo
+        reasons = {**dict(GATE_ORDER), "accept": None,
+                   "lock-failed": RejectionReason.LOCK_FAILED,
+                   "non-canonical": RejectionReason.MALFORMED_BUNDLE}
+        bundle = None
+
+        def load():
+            nonlocal bundle
+            env = make_env(capacity=len(FW))
+            assert env.monitor.verify_and_lock(env.package(FW, 5)).accepted
+            if bundle is None:
+                bundle = write_bundle(faulty_package(env, {case}), tmp_path / "bundle")
+                if case == "non-canonical":
+                    raw = (bundle / "manifest.json").read_bytes()
+                    (bundle / "manifest.json").write_bytes(raw.replace(b",", b", ", 1))
+            env.region.fail_next_lock = case == "lock-failed"
+            result = env.monitor.verify_bundle(bundle)
+            token = result.token and result.token._replace(token_id=None)
+            records = [r._replace(time=None, prev=None) for r in read_audit(env.store.path)]
+            return result._replace(token=token, timings=None), records
+
+        miss = load()
+        hit = load()
+        assert miss[0].reason is reasons[case]
+        assert hit == miss
+        remembered = case != "non-canonical"
+        assert len(parses) == 1 + (not remembered)
+        assert manifest_memo.cache_info().currsize == remembered
+
+    def test_distinct_maximum_size_manifests_keep_the_bound(self, manifest_memo):
+        versions = range(1, 4 * MANIFEST_MEMO_ENTRIES + 1)
+        tracemalloc.start()
+        try:
+            for version in versions:
+                assert manifest_memo(max_size_manifest(version)).version == version
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert manifest_memo.cache_info().currsize == MANIFEST_MEMO_ENTRIES == 16
+        assert retained < 2.5 * (1 << 20)
+        # the newest are the ones kept: the last version is a hit
+        hits = manifest_memo.cache_info().hits
+        manifest_memo(max_size_manifest(versions[-1]))
+        assert manifest_memo.cache_info().hits == hits + 1

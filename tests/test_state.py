@@ -761,16 +761,27 @@ class TestAuditTail:
     ):
         content = self.log_content(parts, ends_with_newline)
         end = max(content.rfind(b"\n"), content.rfind(b"\r")) + 1
-        lines = [line for line in content[:end].splitlines() if line]
+        lines = content[:end].splitlines()
+
+        def newest_first(n):
+            # parsed newest first, so the newest bad line raises, named by
+            # its place from the end with blank lines counted
+            records = []
+            for place, line in enumerate(reversed(lines), start=1):
+                if len(records) == n:
+                    break
+                if line:
+                    try:
+                        records.append(AuditRecord.from_line(line))
+                    except StateError as exc:
+                        raise StateError(f"audit.log line {place} from the end: {exc}") from None
+            return records[::-1]
+
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "audit.log").write_bytes(content)
             with mock.patch.object(state, "_TAIL_BLOCK", block):
                 for n in (0, 1, 5, len(lines) + 1):
-                    # parsed newest first, so the newest bad line raises
-                    expected = outcome(
-                        lambda tail: [AuditRecord.from_line(line) for line in tail[::-1]][::-1],
-                        last(lines, n),
-                    )
+                    expected = outcome(newest_first, n)
                     assert outcome(lambda path: last_records(path, n), tmp) == expected
 
 
