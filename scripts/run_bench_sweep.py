@@ -22,9 +22,10 @@ DEFAULT_SIZES = [64 * 1024, 256 * 1024, 1024 * 1024, 4 * 1024 * 1024, 16 * 1024 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=100)
-    parser.add_argument("--warmup", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = harness.run_bench.__kwdefaults__
+    parser.add_argument("--runs", type=int, default=defaults["runs"])
+    parser.add_argument("--warmup", type=int, default=defaults["warmup"])
+    parser.add_argument("--seed", type=int, default=defaults["seed"])
     parser.add_argument(
         "--sizes", default=None, help="comma-separated byte sizes (default: 64KiB..16MiB)"
     )

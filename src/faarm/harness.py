@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from . import crypto
 from .crypto import KeyPair, Signature, SignatureScheme, hash_data, keygen
-from .mcu import DEFAULT_CAPACITY, HookPoint, LockMode, McuRegion, WriteOutcome
+from .mcu import DEFAULT_CAPACITY, HookPoint, McuRegion, WriteOutcome
 from .monitor import STAGES, Monitor, StageTimings, VerifyResult
 from .packaging import (
     DEFAULT_MCU_ID,
@@ -94,7 +94,6 @@ class Scenario:
     kind: ScenarioKind
     mode: LoaderMode
     trials: int = 50
-    lock_mode: LockMode = LockMode.HARDWARE_WP
     seed: int = 0
     firmware_size: int = 4096
     scheme: SignatureScheme = SignatureScheme.ED25519
@@ -172,7 +171,6 @@ class ScenarioReport:
             "scenario": self.scenario.kind.value,
             "mode": self.scenario.mode.value,
             "trials": self.scenario.trials,
-            "lock_mode": self.scenario.lock_mode.value,
             "seed": self.scenario.seed,
             "firmware_size": self.scenario.firmware_size,
             "scheme": self.scenario.scheme.value,
@@ -259,7 +257,7 @@ def _run_trial(
     scenario: Scenario, index: int, rng: random.Random, state_dir: Path
 ) -> tuple[TrialRecord, Counter]:
     key = keygen(scenario.scheme, seed=rng.getrandbits(64), allow_seeded=True)
-    region = McuRegion(capacity=DEFAULT_CAPACITY, lock_mode=scenario.lock_mode)
+    region = McuRegion(capacity=DEFAULT_CAPACITY)
     if scenario.mode is LoaderMode.BASELINE:
         return _attack(scenario, index, rng, key, BaselineLoader(region)), Counter()
     store = SecureStateStore.provision(key.public, state_dir, durable=False)
@@ -394,8 +392,9 @@ def run_matrix(
 ) -> list[ScenarioReport]:
     """One report per kind and mode, kinds outermost; fields are Scenario's
     other fields, with Scenario's defaults. kinds and modes may be any
-    iterables: both are read once, into tuples, before the first run."""
-    kinds, modes = tuple(kinds), tuple(modes)
+    iterables: both are read once, before the first run, and a repeated
+    kind or mode runs once, at its first place."""
+    kinds, modes = tuple(dict.fromkeys(kinds)), tuple(dict.fromkeys(modes))
     return [run_scenario(Scenario(kind=kind, mode=mode, **fields))
             for kind in kinds for mode in modes]
 
@@ -410,7 +409,6 @@ class BenchResult:
     warmup: int
     seed: int
     scheme: SignatureScheme
-    lock_mode: LockMode
     timings: list[StageTimings]  # one per measured load, warmup excluded
 
     def stats(self) -> dict[str, LatencyStats]:
@@ -431,7 +429,6 @@ class BenchResult:
             "warmup_excluded": self.warmup,
             "seed": self.seed,
             "scheme": self.scheme.value,
-            "lock_mode": self.lock_mode.value,
             "nominal_init_ms": DEFAULT_NOMINAL_INIT_MS,
             "overhead_pct": self.overhead_pct,
             "latency_ms": _latency_ms(self.timings),
@@ -447,7 +444,6 @@ def run_bench(
     warmup: int = 10,
     seed: int = 0,
     scheme: SignatureScheme = SignatureScheme.ECDSA_P256,
-    lock_mode: LockMode = LockMode.HARDWARE_WP,
 ) -> BenchResult:
     """Measure verify/lock/total stage latencies over `runs` accepted loads of
     fresh images, after `warmup` excluded runs; one monitor serves all runs
@@ -464,9 +460,7 @@ def run_bench(
         key = keygen(scheme, seed=rng.getrandbits(64), allow_seeded=True)
         store = SecureStateStore.provision(key.public, state_dir, durable=False)
         try:
-            region = McuRegion(
-                capacity=max(DEFAULT_CAPACITY, firmware_size), lock_mode=lock_mode
-            )
+            region = McuRegion(capacity=max(DEFAULT_CAPACITY, firmware_size))
             monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
             with crypto._verified_lock:  # an earlier call signed these same statements
                 crypto._verified.clear()
@@ -481,23 +475,20 @@ def run_bench(
             store.close()
     return BenchResult(
         firmware_size=firmware_size, runs=runs, warmup=warmup, seed=seed,
-        scheme=scheme, lock_mode=lock_mode, timings=timings,
+        scheme=scheme, timings=timings,
     )
 
 
 # -- rendering -----------------------------------------------------------------
 
 
-def _envelope(key: str, value, config: dict | None) -> str:
-    return json.dumps({"config": config or {}, key: value}, indent=2, sort_keys=True) + "\n"
+def reports_to_json(reports: Sequence[ScenarioReport]) -> str:
+    scenarios = [r.to_dict() for r in reports]
+    return json.dumps({"scenarios": scenarios}, indent=2, sort_keys=True) + "\n"
 
 
-def reports_to_json(reports: Sequence[ScenarioReport], *, config: dict | None = None) -> str:
-    return _envelope("scenarios", [r.to_dict() for r in reports], config)
-
-
-def bench_to_json(result: BenchResult, *, config: dict | None = None) -> str:
-    return _envelope("bench", result.to_dict(), config)
+def bench_to_json(result: BenchResult) -> str:
+    return json.dumps({"bench": result.to_dict()}, indent=2, sort_keys=True) + "\n"
 
 
 def _timings_csv(key_fields: tuple[str, ...], rows: Iterable[tuple[tuple, StageTimings]]) -> str:
@@ -585,8 +576,7 @@ def render_bench(result: BenchResult) -> str:
     out = StringIO()
     out.write(
         f"latency bench: {result.firmware_size} byte image, {result.runs} runs "
-        f"({result.warmup} warmup excluded), {result.scheme.value}, "
-        f"{result.lock_mode.value}\n\n"
+        f"({result.warmup} warmup excluded), {result.scheme.value}\n\n"
     )
     out.write("  stage    measured mean+/-std         reference mean+/-std\n")
     out.write("  ------   -------------------------   --------------------\n")

@@ -99,7 +99,6 @@ class McuRegion:
         self,
         capacity: int = DEFAULT_CAPACITY,
         lock_mode: LockMode = LockMode.HARDWARE_WP,
-        audit_sink: Callable[[str], None] | None = None,
     ):
         if capacity < 1:
             raise RegionError("capacity must be positive")
@@ -107,7 +106,7 @@ class McuRegion:
         self.lock_mode = lock_mode
         self.lock_state = LockState.UNLOCKED
         self.running_digest: Digest | None = None
-        self.audit_sink = audit_sink
+        self.audit_sink: Callable[[str], None] | None = None
         self.fail_next_lock = False
         self.attempts: Counter[tuple[WriteOrigin, WriteOutcome]] = Counter()
         self._content: bytes = b""

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .cli import EXIT_INTEGRITY, EXIT_OK, CliError, _add_state_arg, _state_dir, parse_size
 from .crypto import Digest, KeyPair, PublicKey, SignatureScheme, keygen
-from .mcu import LockMode, McuRegion, WriteOutcome
+from .mcu import McuRegion, WriteOutcome
 from .monitor import Monitor, MonitorStatus, Phase, ReplayError, replay_protocol_invariants
 from .packaging import (
     DEFAULT_MCU_ID,
@@ -234,7 +234,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
             modes=modes,
             trials=args.trials,
             seed=args.seed,
-            lock_mode=LockMode(args.lock_mode),
             firmware_size=args.firmware_size,
             scheme=SignatureScheme(args.scheme),
         )
@@ -243,9 +242,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text(harness.latency_csv(reports))
     if args.json:
-        config = {"lock_mode": args.lock_mode, "seed": args.seed, "trials": args.trials,
-                  "firmware_size": args.firmware_size, "scheme": args.scheme}
-        print(harness.reports_to_json(reports, config=config), end="")
+        print(harness.reports_to_json(reports), end="")
     else:
         print(harness.render_matrix(reports), end="")
     # an attack that beats the monitor, or a genuine image it fails to load
@@ -272,15 +269,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             seed=args.seed,
             scheme=SignatureScheme(args.scheme),
-            lock_mode=LockMode(args.lock_mode),
         )
     except harness.HarnessError as exc:
         raise CliError(str(exc)) from None
     if args.csv:
         Path(args.csv).write_text(harness.bench_csv(result))
     if args.json:
-        config = {"lock_mode": args.lock_mode, "seed": args.seed}
-        print(harness.bench_to_json(result, config=config), end="")
+        print(harness.bench_to_json(result), end="")
     else:
         print(harness.render_bench(result), end="")
     return EXIT_OK
@@ -413,35 +408,39 @@ def _log_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_log)
 
 
+# attack and bench take their defaults from the harness, which alone states them
+
+
 def _attack_args(p: argparse.ArgumentParser) -> None:
-    from .harness import ScenarioKind
+    from .harness import Scenario, ScenarioKind
 
     p.add_argument("--scenario", action="append", default=None,
                    choices=[k.value for k in ScenarioKind],
                    help="scenario to run (repeatable; default: all)")
     p.add_argument("--mode", choices=["baseline", "faarm", "both"], default="both")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--firmware-size", type=parse_size, default=4096)
+    p.add_argument("--trials", type=int, default=Scenario.trials)
+    p.add_argument("--seed", type=int, default=Scenario.seed)
+    p.add_argument("--firmware-size", type=parse_size, default=Scenario.firmware_size)
     p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
-                   default=SignatureScheme.ED25519.value)
-    p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
-                   default=LockMode.HARDWARE_WP.value)
+                   default=Scenario.scheme.value)
     p.add_argument("--csv", default=None, help="write per-trial latency samples here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_attack)
 
 
 def _bench_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--size", type=parse_size, default=1024 * 1024,
-                   help="firmware size in bytes; KiB/MiB suffixes accepted (default 1MiB)")
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--warmup", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    from .harness import run_bench
+
+    defaults = run_bench.__kwdefaults__
+    size = defaults["firmware_size"]
+    p.add_argument("--size", type=parse_size, default=size,
+                   help=f"firmware size in bytes; KiB/MiB suffixes accepted "
+                        f"(default {size >> 20}MiB)")
+    p.add_argument("--runs", type=int, default=defaults["runs"])
+    p.add_argument("--warmup", type=int, default=defaults["warmup"])
+    p.add_argument("--seed", type=int, default=defaults["seed"])
     p.add_argument("--scheme", choices=[s.value for s in SignatureScheme],
-                   default=SignatureScheme.ECDSA_P256.value)
-    p.add_argument("--lock-mode", choices=[m.value for m in LockMode],
-                   default=LockMode.HARDWARE_WP.value)
+                   default=defaults["scheme"].value)
     p.add_argument("--csv", default=None, help="write raw latency samples here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)

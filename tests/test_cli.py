@@ -543,11 +543,20 @@ class TestAttackAndBench:
         out = cli("attack", "--scenario", "unsigned-load", "--trials", "2",
                   "--firmware-size", "1KiB", "--json", "--csv", str(csv_path))
         payload = json.loads(out.out)
-        assert payload["config"]["trials"] == 2
+        assert list(payload) == ["scenarios"]
         assert len(payload["scenarios"]) == 2
+        for entry in payload["scenarios"]:
+            assert (entry["trials"], entry["seed"], entry["firmware_size"], entry["scheme"]) == (
+                2, 0, 1024, "ed25519")
         faarm_rows = [s for s in payload["scenarios"] if s["mode"] == "faarm"]
         assert faarm_rows[0]["attack_success_count"] == 0
         assert csv_path.read_text().startswith("scenario,mode,trial")
+
+    def test_a_repeated_scenario_runs_once(self, cli):
+        out = cli("attack", "--scenario", "unsigned-load", "--scenario", "unsigned-load",
+                  "--mode", "faarm", "--trials", "2", "--firmware-size", "1KiB", "--json")
+        (entry,) = json.loads(out.out)["scenarios"]
+        assert (entry["scenario"], entry["mode"]) == ("unsigned-load", "faarm")
 
     def test_attack_text_renders_table(self, cli):
         out = cli("attack", "--scenario", "signed-good", "--mode", "faarm",
@@ -602,7 +611,10 @@ class TestErrorSurface:
         ["verify", "bundle", "--lock-mode", "software-lock"],
         ["verify", "bundle", "--dump-region", "region.json"],
         ["demo", "--mcu-id", "X"],
-    ], ids=["verify-lock-mode", "verify-dump-region", "demo-mcu-id"])
+        ["attack", "--lock-mode", "software-lock"],
+        ["bench", "--lock-mode", "hardware-wp"],
+    ], ids=["verify-lock-mode", "verify-dump-region", "demo-mcu-id", "attack-lock-mode",
+            "bench-lock-mode"])
     def test_removed_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

@@ -33,7 +33,7 @@ from faarm.harness import (
     run_matrix,
     run_scenario,
 )
-from faarm.mcu import HookPoint, LockMode, McuRegion
+from faarm.mcu import HookPoint, McuRegion
 
 TRIALS = 4
 
@@ -110,10 +110,9 @@ class TestBaselineLoader:
 
 
 class TestBaselineMode:
-    @pytest.mark.parametrize("lock_mode", LockMode, ids=lambda m: m.value)
     @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS, ids=lambda k: k.value)
-    def test_every_attack_succeeds_against_baseline(self, kind, lock_mode):
-        report = run(kind, LoaderMode.BASELINE, lock_mode=lock_mode)
+    def test_every_attack_succeeds_against_baseline(self, kind):
+        report = run(kind, LoaderMode.BASELINE)
         assert report.attack_success_count == TRIALS
         assert report.infra_failures == []
 
@@ -209,7 +208,7 @@ class TestDeterminism:
             reports = run_matrix(
                 kinds=(ScenarioKind.UNSIGNED_LOAD,), trials=2, seed=5, firmware_size=1024
             )
-            payload = json.loads(reports_to_json(reports, config={"seed": 5}))
+            payload = json.loads(reports_to_json(reports))
             for scenario in payload["scenarios"]:
                 del scenario["latency_ms"]
             return payload
@@ -232,12 +231,19 @@ class TestMatrix:
         assert "baseline" in text and "faarm" in text
 
     def test_run_matrix_hands_every_field_to_each_scenario(self):
-        fields = dict(trials=2, seed=9, lock_mode=LockMode.SOFTWARE_LOCK,
-                      firmware_size=640, scheme=SignatureScheme.ECDSA_P256)
+        fields = dict(trials=2, seed=9, firmware_size=640, scheme=SignatureScheme.ECDSA_P256)
         kind = ScenarioKind.UNSIGNED_LOAD
         reports = run_matrix(kinds=(kind,), **fields)
         assert [r.scenario for r in reports] == [
             Scenario(kind=kind, mode=mode, **fields) for mode in LoaderMode
+        ]
+
+    def test_a_repeated_kind_or_mode_runs_once(self):
+        kind, mode = ScenarioKind.UNSIGNED_LOAD, LoaderMode.FAARM
+        reports = run_matrix(kinds=(kind, kind), modes=(mode, mode), trials=1,
+                             firmware_size=512)
+        assert [r.scenario for r in reports] == [
+            Scenario(kind=kind, mode=mode, trials=1, firmware_size=512)
         ]
 
     def test_kinds_and_modes_may_be_generators(self):
@@ -262,13 +268,18 @@ class TestMatrix:
         assert "attack succeeds (0/0)" in text and "trial 0: OSError: boom" in text
 
     def test_reports_json_shape(self):
-        reports = run_matrix(kinds=(ScenarioKind.SIGNED_GOOD,), trials=2, firmware_size=512)
-        payload = json.loads(reports_to_json(reports, config={"trials": 2}))
-        assert payload["config"] == {"trials": 2}
+        reports = run_matrix(kinds=(ScenarioKind.SIGNED_GOOD,), trials=2, seed=4,
+                             firmware_size=512)
+        payload = json.loads(reports_to_json(reports))
+        assert list(payload) == ["scenarios"]
         assert len(payload["scenarios"]) == 2
-        entry = payload["scenarios"][0]
-        for field in ("scenario", "mode", "attack_success_count", "latency_ms", "audit_counts"):
-            assert field in entry
+        for entry in payload["scenarios"]:
+            for field in ("scenario", "mode", "attack_success_count", "latency_ms",
+                          "audit_counts"):
+                assert field in entry
+            # each entry carries the inputs of its run
+            assert (entry["trials"], entry["seed"], entry["firmware_size"], entry["scheme"]) == (
+                2, 4, 512, "ed25519")
 
     def test_latency_csv_is_one_row_per_trial(self):
         reports = run_matrix(kinds=(ScenarioKind.SIGNED_GOOD,), trials=2, firmware_size=512)
@@ -315,9 +326,11 @@ class TestBench:
 
     def test_bench_json_includes_reference_numbers(self):
         result = run_bench(firmware_size=4096, runs=3, warmup=0)
-        payload = json.loads(bench_to_json(result, config={"runs": 3}))
-        assert payload["config"] == {"runs": 3}
+        payload = json.loads(bench_to_json(result))
+        assert list(payload) == ["bench"]
         bench = payload["bench"]
+        assert (bench["firmware_size"], bench["runs"], bench["warmup_excluded"],
+                bench["seed"], bench["scheme"]) == (4096, 3, 0, 0, "ecdsa-p256")
         assert bench["reference"] == REFERENCE_LATENCY_MS
         assert set(bench["latency_ms"]) == {"verify", "lock", "total"}
 

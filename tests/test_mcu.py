@@ -58,7 +58,8 @@ class TestEl1Writes:
 
     def test_denied_writes_hit_audit_sink_exactly_once_each(self):
         calls = []
-        region = McuRegion(capacity=128, audit_sink=calls.append)
+        region = McuRegion(capacity=128)
+        region.audit_sink = calls.append
         region.lock()
         for i in range(9_999):
             region.el1_write(i % 128, b"z")
@@ -76,8 +77,8 @@ class TestEl1Writes:
     def test_a_denied_write_is_not_copied(self, write, cause):
         data = bytearray(64 << 20)
         calls = []
-        region = McuRegion(capacity=len(data) if cause == "locked" else 1024,
-                           audit_sink=calls.append)
+        region = McuRegion(capacity=len(data) if cause == "locked" else 1024)
+        region.audit_sink = calls.append
         if cause == "locked":
             region.lock()
         outcome, peak = traced_peak(lambda: getattr(region, write)(0, data))
@@ -101,7 +102,8 @@ class TestEl1Writes:
                 return 1
 
         calls = []
-        region = applying_region(write, capacity=8, audit_sink=calls.append)
+        region = applying_region(write, capacity=8)
+        region.audit_sink = calls.append
         assert getattr(region, write)(0, Understated(16)) is WriteOutcome.DENIED
         assert calls == (["el1 write denied (range) offset=0 len=16"]
                          if write == "el1_write" else [])
