@@ -30,7 +30,6 @@ from io import StringIO
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import crypto
 from .crypto import KeyPair, Signature, SignatureScheme, hash_data, keygen
 from .mcu import DEFAULT_CAPACITY, HookPoint, McuRegion, WriteOutcome
 from .monitor import STAGES, Monitor, StageTimings, VerifyResult
@@ -447,8 +446,9 @@ def run_bench(
 ) -> BenchResult:
     """Measure verify/lock/total stage latencies over `runs` accepted loads of
     fresh images, after `warmup` excluded runs; one monitor serves all runs
-    with a strictly increasing version number, and crypto.verify's cache is
-    emptied first, so every load pays a full signature check."""
+    with a strictly increasing version number. Each load builds a fresh
+    Manifest, which carries no signature verdict, so every load pays a full
+    signature check, even when an earlier call signed the same statements."""
     if runs < 1:
         raise HarnessError("runs must be >= 1")
     if warmup < 0:
@@ -462,8 +462,6 @@ def run_bench(
         try:
             region = McuRegion(capacity=max(DEFAULT_CAPACITY, firmware_size))
             monitor = Monitor(store, region, mcu_id=DEFAULT_MCU_ID)
-            with crypto._verified_lock:  # an earlier call signed these same statements
-                crypto._verified.clear()
             for run in range(warmup + runs):
                 fw = rng.randbytes(firmware_size)
                 result = monitor.verify_and_lock(_build(key, fw, run + 1))

@@ -28,12 +28,14 @@ Both entry points run these steps in one method, _load, over a reader with
 read_bundle's contract; verify_and_lock's reader has no step 1 and freezes
 an image that fits into bytes at step 2. Steps 3-6 (_authenticate) need the
 manifest and the signature alone and run before step 7, so a forged,
-foreign, rolled-back or unknown-flag bundle costs its manifest parse and one
-signature check, whatever its image size. _serial is held from step 1
-through step 10. The signature covers firmware_hash, so step 8 holds the
-image to the vendor's own digest. A package with several faults rejects at
-the earliest gate it fails. A rejection's detail is cut to MAX_DETAIL_CHARS,
-since a parse error quotes the unauthenticated field it refuses.
+foreign, rolled-back or unknown-flag bundle costs at most its manifest parse
+and one signature check, whatever its image size, and a replayed one, whose
+Manifest read_bundle remembers with its verdict, neither. _serial is held
+from step 1 through step 10. The signature covers firmware_hash, so step 8
+holds the image to the vendor's own digest. A package with several faults
+rejects at the earliest gate it fails. A rejection's detail is cut to
+MAX_DETAIL_CHARS, since a parse error quotes the unauthenticated field it
+refuses.
 
 StageTimings: verify_ms spans steps 3-8, lock_ms step 9, and total_ms runs
 from entry to the built result, so it alone includes steps 1 and 2, the
@@ -383,9 +385,16 @@ class Monitor:
     ) -> tuple[RejectionReason, str] | None:
         """Steps 3-6, which need the manifest and the signature alone, in
         protocol order: the first that fails, as (reason, detail), or None
-        when the image may be read and checked against the manifest's hash."""
-        payload = signing_payload(manifest.firmware_hash, canonical_bytes(manifest))
-        if not verify(self.store.anchor, payload, signature):
+        when the image may be read and checked against the manifest's hash.
+        verify's answer is kept on the manifest for the anchor and signature
+        it was given; the signed payload is a function of the manifest."""
+        checked = (self.store.anchor._file_bytes, signature)
+        kept, valid = getattr(manifest, "_verdict", (None, False))
+        if kept != checked:
+            payload = signing_payload(manifest.firmware_hash, canonical_bytes(manifest))
+            valid = verify(self.store.anchor, payload, signature)
+            object.__setattr__(manifest, "_verdict", (checked, valid))
+        if not valid:
             return RejectionReason.BAD_SIGNATURE, (
                 "signature does not verify against the provisioned anchor"
             )

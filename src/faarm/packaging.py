@@ -8,12 +8,12 @@ valid manifest is rejected, which closes whitespace/key-order/escape/number
 malleability in one check.
 
 A Manifest keeps its canonical bytes once they are built; one parsed from
-a bundle holds the very bytes it was parsed from. read_bundle looks the
-manifest up in a memo of the last MANIFEST_MEMO_ENTRIES parses, keyed on the
-exact manifest bytes, so a replayed bundle is parsed once. This is sound
-because the parse is a pure function of those bytes and a Manifest is
-immutable. A parse that fails is not remembered, and a manifest not seen
-lately is parsed in full. parse_manifest itself remembers nothing.
+a bundle holds the very bytes it was parsed from. read_bundle takes it from
+a memo of MANIFEST_MEMO_ENTRIES parses, keyed on the signature bytes and hit
+only by equal manifest bytes, so a miss hashes no manifest; the monitor
+keeps its signature verdict on that Manifest. This is sound because the
+parse is a pure function of those bytes and a Manifest is immutable. A
+failed parse is not remembered; parse_manifest itself remembers nothing.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import json
 import os
 import stat
 import struct
+import threading
 from datetime import datetime, timedelta, timezone
-from functools import lru_cache, partial
+from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -45,9 +46,12 @@ DEFAULT_MCU_ID = "MALI-MCU-XYZ"
 MANIFEST_KEYS = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 FLAG_REQUIRES_LOCK = "requires_lock"
 MAX_MANIFEST_BYTES = 64 * 1024
-# read_bundle's remembered parses: at most this many manifests of at most
+# read_bundle's remembered parses, signature bytes -> (raw manifest bytes,
+# Manifest), oldest first: at most this many manifests of at most
 # MAX_MANIFEST_BYTES each, about 2 MiB with their parsed strings
 MANIFEST_MEMO_ENTRIES = 16
+_manifest_memo: dict[bytes, tuple[bytes, Manifest]] = {}
+_manifest_memo_lock = threading.Lock()
 MAX_VERSION = 2**64 - 1  # an unsigned 64-bit sequence number; the counter holds 20 digits
 
 FIRMWARE_NAME = "firmware.bin"
@@ -107,9 +111,12 @@ class Manifest(Frozen):
     that equal flag sets always canonicalize to identical bytes.
     """
 
-    __slots__ = ("version", "mcu_id", "timestamp", "firmware_hash", "flags", "_canonical")
-    # _canonical is the canonical serialization, unset until canonical_bytes()
-    # or parse_manifest sets it; it is not part of equality, hash or repr
+    __slots__ = (
+        "version", "mcu_id", "timestamp", "firmware_hash", "flags", "_canonical", "_verdict"
+    )
+    # _canonical is the canonical serialization, set by canonical_bytes() or
+    # parse_manifest, and _verdict ((anchor file bytes, signature), valid), by
+    # the monitor's signature gate; neither is part of equality, hash or repr
     _fields = ("version", "mcu_id", "timestamp", "firmware_hash", "flags")
 
     def __init__(
@@ -212,17 +219,24 @@ def parse_manifest(raw: bytes) -> Manifest:
         canonical = None
     if canonical != raw:
         raise ManifestError("manifest", "not in canonical serialization")
-    # the equal input, so that a memo entry keyed on raw holds its bytes once
+    # the equal input, so that a memo entry holds its bytes once
     object.__setattr__(manifest, "_canonical", raw)
     return manifest
 
 
-@lru_cache(maxsize=MANIFEST_MEMO_ENTRIES)
-def _remembered_manifest(raw: bytes) -> Manifest:
-    """parse_manifest(raw), remembered for the last MANIFEST_MEMO_ENTRIES
-    distinct raw byte strings that parsed; an error propagates and is not
-    remembered. The module-level name is looked up on each miss."""
-    return parse_manifest(raw)
+def _remembered_manifest(raw: bytes, signature: bytes) -> Manifest:
+    """The memo's Manifest for signature if it was parsed from raw, else
+    parse_manifest(raw), remembered unless it raises."""
+    entry = _manifest_memo.get(signature)
+    if entry is not None and entry[0] == raw:
+        return entry[1]
+    manifest = parse_manifest(raw)
+    with _manifest_memo_lock:
+        _manifest_memo.pop(signature, None)
+        if len(_manifest_memo) >= MANIFEST_MEMO_ENTRIES:
+            del _manifest_memo[next(iter(_manifest_memo))]
+        _manifest_memo[signature] = raw, manifest
+    return manifest
 
 
 class FirmwarePackage(NamedTuple):
@@ -350,7 +364,7 @@ def _parse_parts(manifest_part: _Part, signature_part: _Part) -> tuple[Manifest,
         raise BundleError(MANIFEST_NAME, f"exceeds {MAX_MANIFEST_BYTES} bytes")
     if signature_size != SIGNATURE_SIZE:
         raise BundleError(SIGNATURE_NAME, f"must be {SIGNATURE_SIZE} bytes, got {signature_size}")
-    return _remembered_manifest(manifest_raw), Signature(signature_raw, None)
+    return _remembered_manifest(manifest_raw, signature_raw), Signature(signature_raw, None)
 
 
 def _open_directory(dir_fd: int, fds: list[int]) -> _Opened:

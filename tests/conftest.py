@@ -58,26 +58,24 @@ def traced_peak(call):
 
 @pytest.fixture
 def verify_calls(monkeypatch) -> list:
-    """Empties crypto.verify's cache for one test and records each call that
-    reaches the library check behind it, as (key, payload, raw signature)."""
+    """Records each call the monitor makes to crypto.verify, the library
+    check, as (key, payload, signature)."""
     calls = []
-    check = crypto._signature_valid
 
-    def counting(key, payload, raw):
-        calls.append((key, payload, raw))
-        return check(key, payload, raw)
+    def counting(key, payload, sig):
+        calls.append((key, payload, sig))
+        return crypto.verify(key, payload, sig)
 
-    monkeypatch.setattr(crypto, "_verified", {})
-    monkeypatch.setattr(crypto, "_signature_valid", counting)
+    monkeypatch.setattr("faarm.monitor.verify", counting)
     return calls
 
 
 @pytest.fixture(autouse=True)
 def manifest_memo():
     """Empties read_bundle's manifest memo before each test, so that no test
-    is answered from a parse another made; returns the memo."""
-    packaging._remembered_manifest.cache_clear()
-    return packaging._remembered_manifest
+    is answered from a parse another made; returns the memo's table."""
+    packaging._manifest_memo.clear()
+    return packaging._manifest_memo
 
 
 class LoadCrash(RuntimeError):

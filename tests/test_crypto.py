@@ -1,9 +1,5 @@
 import copy
-import hashlib
 import pickle
-import sys
-import threading
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -30,8 +26,6 @@ from faarm.crypto import (
     signing_payload,
     verify,
 )
-
-from faarm.packaging import MAX_MANIFEST_BYTES
 
 from reference_sha256 import sha256_reference
 
@@ -244,52 +238,22 @@ class TestSchemeDispatch:
 
 
 @pytest.mark.parametrize("scheme", BOTH_SCHEMES, ids=lambda s: s.value)
-class TestVerifyCache:
-    def test_a_repeated_triple_is_answered_without_a_second_library_call(
-        self, scheme, verify_calls
-    ):
-        pair = keygen(scheme, seed=25, allow_seeded=True)
-        sig = sign(pair, b"payload")
-        forged = bytes(SIGNATURE_SIZE)
-        for _ in range(3):
-            assert verify(pair.public, b"payload", sig) is True
-            assert verify(pair.public, b"payload", forged) is False
-            # the same statement, with the signature as untagged bytes
-            assert verify(pair.public, b"payload", Signature(sig.data)) is True
-        assert [raw for _, _, raw in verify_calls] == [sig.data, forged]
-
-    def test_malformed_signatures_return_before_the_cache(self, scheme, verify_calls):
+class TestVerifyLibraryCall:
+    def test_malformed_signatures_never_reach_the_library(self, scheme):
         pair = keygen(scheme, seed=26, allow_seeded=True)
         sig = sign(pair, b"payload")
+        key = PublicKey.from_file_bytes(pair.public.to_file_bytes())
+        handle = mock.Mock(spec=["verify"])
+        object.__setattr__(key, "_handle", handle)
         other = next(s for s in BOTH_SCHEMES if s is not scheme)
-        for _ in range(2):
-            assert verify(pair.public, b"payload", Signature(sig.data, other)) is False
-            assert verify(pair.public, b"payload", sig.data[:63]) is False
-        assert verify_calls == [] and crypto._verified == {}
+        for malformed in (Signature(sig.data, other), sig.data[:63], sig.data + b"\x00"):
+            assert verify(key, b"payload", malformed) is False
+        assert handle.verify.call_count == 0
+        # a well-formed signature does reach it
+        assert verify(key, b"payload", Signature(sig.data)) is True
+        assert handle.verify.call_count == 1
 
-    def test_a_change_to_key_payload_or_signature_is_a_miss(self, scheme, verify_calls):
-        pair = keygen(scheme, seed=27, allow_seeded=True)
-        other = keygen(scheme, seed=28, allow_seeded=True)
-        sig = sign(pair, b"payload")
-        assert verify(pair.public, b"payload", sig) is True
-        flipped = bytes([sig.data[0] ^ 1]) + sig.data[1:]
-        # the first three differ from the cached statement in one part each;
-        # the last is another key's valid statement on the same payload
-        for key, payload, raw, valid in [
-            (other.public, b"payload", sig.data, False),
-            (pair.public, b"payloaD", sig.data, False),
-            (pair.public, b"payload", flipped, False),
-            (other.public, b"payload", sign(other, b"payload").data, True),
-        ]:
-            before = len(verify_calls)
-            assert verify(key, payload, raw) is valid
-            assert len(verify_calls) == before + 1
-        assert verify(pair.public, b"payload", sig) is True
-        assert len(verify_calls) == 5
-
-    def test_the_entry_is_keyed_on_the_key_file_bytes_built_with_the_key(
-        self, scheme, verify_calls
-    ):
+    def test_the_key_file_bytes_are_built_with_the_key(self, scheme):
         pair = keygen(scheme, seed=30, allow_seeded=True)
         key = PublicKey.from_file_bytes(pair.public.to_file_bytes())
         tag = {SignatureScheme.ECDSA_P256: 0x01, SignatureScheme.ED25519: 0x02}[scheme]
@@ -298,83 +262,63 @@ class TestVerifyCache:
         assert key == pair.public and hash(key) == hash((key.scheme, key.data))
         assert repr(key) == f"PublicKey(scheme={key.scheme!r}, data={key.data!r})"
         sig = sign(pair, b"payload")
-        # verify() never encodes the key again: the scheme's tag is not looked up
+        # neither verify() nor to_file_bytes() encodes the key again: the
+        # scheme's tag is not looked up
         with mock.patch.object(SignatureScheme, "tag", new_callable=mock.PropertyMock,
                                side_effect=AssertionError):
             assert verify(key, b"payload", sig) is True
-        entry = hashlib.sha256(bytes([tag]) + key.data + sig.data + b"payload").digest()
-        assert list(crypto._verified) == [entry]
+            assert key.to_file_bytes() == bytes([tag]) + key.data
 
-    def test_mutating_a_payload_buffer_changes_no_later_answer(self, scheme, verify_calls):
+    @staticmethod
+    def counted(pair):
+        """pair's public key, with its decoded key wrapped so that each call
+        to the library check is recorded."""
+        key = PublicKey.from_file_bytes(pair.public.to_file_bytes())
+        object.__setattr__(key, "_handle", mock.Mock(wraps=key._handle))
+        return key
+
+    def test_a_repeated_triple_reaches_the_library_each_time(self, scheme):
+        pair = keygen(scheme, seed=25, allow_seeded=True)
+        key = self.counted(pair)
+        sig = sign(pair, b"payload")
+        forged = bytes(SIGNATURE_SIZE)
+        for _ in range(3):
+            assert verify(key, b"payload", sig) is True
+            assert verify(key, b"payload", forged) is False
+            # the same statement, with the signature as untagged bytes
+            assert verify(key, b"payload", Signature(sig.data)) is True
+        assert key._handle.verify.call_count == 9
+
+    def test_a_change_to_key_payload_or_signature_changes_the_answer(self, scheme):
+        pair = keygen(scheme, seed=27, allow_seeded=True)
+        other = keygen(scheme, seed=28, allow_seeded=True)
+        sig = sign(pair, b"payload")
+        assert verify(pair.public, b"payload", sig) is True
+        flipped = bytes([sig.data[0] ^ 1]) + sig.data[1:]
+        # the first three differ from the valid statement in one part each;
+        # the last is another key's valid statement on the same payload
+        for key, payload, raw, valid in [
+            (other.public, b"payload", sig.data, False),
+            (pair.public, b"payloaD", sig.data, False),
+            (pair.public, b"payload", flipped, False),
+            (other.public, b"payload", sign(other, b"payload").data, True),
+        ]:
+            assert verify(key, payload, raw) is valid
+        assert verify(pair.public, b"payload", sig) is True
+
+    def test_each_answer_follows_the_payload_buffer_as_it_is_then(self, scheme):
         pair = keygen(scheme, seed=29, allow_seeded=True)
+        key = self.counted(pair)
         sig = sign(pair, b"payload")
         buffer = bytearray(b"payload")
-        assert verify(pair.public, buffer, sig) is True
+        assert verify(key, buffer, sig) is True
         buffer[0] ^= 1
-        assert verify(pair.public, buffer, sig) is False
+        assert verify(key, buffer, sig) is False
         buffer[0] ^= 1
-        assert verify(pair.public, buffer, sig) is True
-        assert verify(pair.public, b"payload", sig) is True
-        assert verify(pair.public, b"qayload", sig) is False
-        assert [type(payload) for _, payload, _ in verify_calls] == [bytes, bytes]
-
-    def test_maximum_size_manifests_keep_the_cache_in_its_bound(self, scheme, monkeypatch):
-        pair = keygen(scheme, seed=30, allow_seeded=True)
-        monkeypatch.setattr(crypto, "_verified", {})
-        monkeypatch.setattr(crypto, "_signature_valid", lambda key, payload, raw: False)
-        body = bytes(DIGEST_SIZE + MAX_MANIFEST_BYTES - 4)
-        raw = bytes(SIGNATURE_SIZE)
-        count = crypto.VERIFY_CACHE_ENTRIES + 100
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for i in range(count):
-                verify(pair.public, i.to_bytes(4, "big") + body, raw)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(crypto._verified) == crypto.VERIFY_CACHE_ENTRIES
-        assert held < 256 * 1024
-        # the oldest 100 answers were evicted: only the first of these misses
-        calls = []
-        monkeypatch.setattr(crypto, "_signature_valid",
-                            lambda key, payload, raw: calls.append(payload[:4]) or False)
-        for i in (100, count - 1, 99):
-            verify(pair.public, i.to_bytes(4, "big") + body, raw)
-        assert calls == [(99).to_bytes(4, "big")]
-
-    def test_concurrent_callers_get_the_right_answers(self, scheme, monkeypatch):
-        pair = keygen(scheme, seed=31, allow_seeded=True)
-        monkeypatch.setattr(crypto, "_verified", {})
-        monkeypatch.setattr(crypto, "VERIFY_CACHE_ENTRIES", 8)
-        # a payload is "validly signed" when its first byte is even
-        monkeypatch.setattr(crypto, "_signature_valid",
-                            lambda key, payload, raw: payload[0] % 2 == 0)
-        raw = bytes(SIGNATURE_SIZE)
-        wrong = []
-
-        def caller(seed):
-            try:
-                for i in range(2000):
-                    n = (i * 7 + seed) % 32
-                    if verify(pair.public, bytes([n]), raw) is not (n % 2 == 0):
-                        wrong.append(n)
-            except Exception as exc:  # an eviction race surfaces as KeyError
-                wrong.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-        assert len(crypto._verified) <= 8
+        assert verify(key, buffer, sig) is True
+        assert verify(key, b"payload", sig) is True
+        assert verify(key, b"qayload", sig) is False
+        assert key._handle.verify.call_count == 5
 
 
 P256_ORDER = crypto._P256_ORDER

@@ -303,7 +303,7 @@ class TestBench:
 
     def test_every_load_pays_a_full_signature_check(self, verify_calls):
         # the paper's measurement: fresh images at rising versions, so no
-        # load is answered from crypto.verify's cache, not even in a second
+        # load is answered from a remembered verdict, not even in a second
         # call that signs the same statements again
         for _ in range(2):
             run_bench(firmware_size=4096, runs=5, warmup=2)

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 import faarm.mcu
 import faarm.monitor
 from faarm import packaging, state
-from faarm.crypto import Digest, Signature, hash_data, keygen, SignatureScheme
+from faarm.crypto import (
+    Digest,
+    Signature,
+    SignatureScheme,
+    hash_data,
+    keygen,
+    sign,
+    signing_payload,
+)
 from faarm.mcu import HookPoint, LockMode, LockState, WriteOutcome
 from faarm.monitor import (
     EXIT_CODES,
@@ -237,6 +245,54 @@ class TestRejections:
         # library checked each of the two statements once
         assert len(verify_calls) == len(bundles)
         self.assert_nothing_committed(env, before, 3, Phase.LOADED_LOCKED)
+
+    def test_one_manifest_under_two_signatures_is_checked_once_under_each(
+        self, env, tmp_path, verify_calls
+    ):
+        # byte-identical manifests, one under the vendor's signature and one
+        # under an intruder's, replayed alternately
+        assert env.monitor.verify_and_lock(env.package(FW, 3)).accepted
+        pkg = env.package(FW[::-1], 2)
+        intruder = keygen(SignatureScheme.ED25519, seed=668, allow_seeded=True)
+        payload = signing_payload(pkg.manifest.firmware_hash, canonical_bytes(pkg.manifest))
+        forged = sign(intruder, payload)
+        bundles = [
+            write_bundle(pkg, tmp_path / "vendor"),
+            write_bundle(pkg._replace(signature=forged), tmp_path / "foreign"),
+        ]
+        del verify_calls[:]
+        reasons = [env.monitor.verify_bundle(bundles[i % 2]).reason for i in range(10)]
+        assert reasons == 5 * [RejectionReason.ROLLBACK, RejectionReason.BAD_SIGNATURE]
+        assert [sig.data for _, _, sig in verify_calls] == [pkg.signature.data, forged.data]
+
+    def test_a_package_handed_in_again_is_checked_once(self, env, verify_calls):
+        pkg = env.package(FW, 3)
+        assert env.monitor.verify_and_lock(pkg).accepted
+        # the same Manifest object carries its verdict: past the signature
+        # gate without the library, then refused as a replay
+        assert env.monitor.verify_and_lock(pkg).reason is RejectionReason.ROLLBACK
+        assert len(verify_calls) == 1
+        # an equal Manifest built afresh carries none, and is checked again
+        fresh = packaging.parse_manifest(canonical_bytes(pkg.manifest))
+        assert fresh == pkg.manifest
+        result = env.monitor.verify_and_lock(pkg._replace(manifest=fresh))
+        assert result.reason is RejectionReason.ROLLBACK
+        assert len(verify_calls) == 2
+
+    def test_a_verdict_under_one_anchor_is_not_taken_under_another(
+        self, make_env, tmp_path, verify_calls
+    ):
+        vendor = make_env()
+        other = make_env(key=keygen(SignatureScheme.ED25519, seed=669, allow_seeded=True))
+        bundle = write_bundle(vendor.package(FW, 1), tmp_path / "bundle")
+        assert vendor.monitor.verify_bundle(bundle).accepted
+        result = other.monitor.verify_bundle(bundle)
+        assert result.reason is RejectionReason.BAD_SIGNATURE
+        assert [key for key, _, _ in verify_calls] == [vendor.store.anchor, other.store.anchor]
+        # the manifest keeps the last verdict only: back under the vendor's
+        # anchor it is checked again, and passes the signature gate
+        assert vendor.monitor.verify_bundle(bundle).reason is RejectionReason.ROLLBACK
+        assert len(verify_calls) == 3
 
     @pytest.mark.parametrize("source", ["memory", "memory-bytearray", "bundle", "bundle.pkg"])
     def test_oversize_firmware_is_rejected(self, make_env, tmp_path, source):

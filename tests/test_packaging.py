@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import struct
+import sys
 import threading
 import tracemalloc
 
@@ -146,16 +147,20 @@ class TestCanonicalForm:
         parsed = parse_manifest(raw)
         assert canonical_bytes(parsed) is raw
 
-    def test_the_kept_bytes_change_no_equality_hash_repr_or_pickle(self):
+    def test_the_kept_bytes_and_verdict_change_no_equality_hash_repr_or_pickle(self):
         built = make_manifest()
         parsed = parse_manifest(canonical_bytes(built))
+        judged = parse_manifest(canonical_bytes(built))
+        # as the monitor's signature gate leaves it
+        object.__setattr__(judged, "_verdict", ((b"\x02" + bytes(32), None), True))
         fresh = make_manifest()  # its canonical bytes not built yet
-        for manifest in (built, parsed):
+        for manifest in (built, parsed, judged):
             assert manifest == fresh and hash(manifest) == hash(fresh)
             assert repr(manifest) == repr(fresh)
             copy = pickle.loads(pickle.dumps(manifest))
             assert copy == fresh and canonical_bytes(copy) == canonical_bytes(built)
-        assert pickle.dumps(built) == pickle.dumps(fresh)
+            assert not hasattr(copy, "_verdict")
+        assert pickle.dumps(built) == pickle.dumps(fresh) == pickle.dumps(judged)
 
     @given(
         version=st.integers(min_value=1, max_value=MAX_VERSION),
@@ -668,7 +673,9 @@ class TestManifestMemo:
         return calls
 
     @pytest.mark.parametrize("name", ["bundle", "bundle.pkg"])
-    def test_a_replayed_bundle_is_parsed_once(self, tmp_path, ed25519_key, parses, name):
+    def test_a_replayed_bundle_is_parsed_once(
+        self, tmp_path, ed25519_key, manifest_memo, parses, name
+    ):
         pkg = build_package(FW, version=1, mcu_id=TEST_MCU_ID, key=ed25519_key,
                             timestamp=TEST_TIMESTAMP)
         path = write_bundle(pkg, tmp_path / name)
@@ -681,10 +688,15 @@ class TestManifestMemo:
         assert sum(a != b for a, b in zip(raw, bumped)) == 1
         manifest = parse_manifest(bumped)
         path = write_bundle(pkg._replace(manifest=manifest), tmp_path / f"bumped-{name}")
+        # the same signature bytes over other manifest bytes: parsed again,
+        # and in place of the first
         del parses[:]
         for _ in range(2):
             assert read_bundle(path).manifest == manifest
         assert parses == [bumped]
+        assert list(manifest_memo.items()) == [(pkg.signature.data, (bumped, manifest))]
+        assert read_bundle(tmp_path / name).manifest == pkg.manifest
+        assert parses == [bumped, raw]
 
     @pytest.mark.parametrize("manifest", [
         b" " + FIXTURE_CANONICAL,
@@ -704,7 +716,7 @@ class TestManifestMemo:
             with pytest.raises(ManifestError) as info:
                 read_bundle(path)
             errors.append(str(info.value))
-            assert manifest_memo.cache_info().currsize == 0
+            assert manifest_memo == {}
         assert errors == 3 * errors[:1]
         assert len(parses) == 3
 
@@ -742,20 +754,52 @@ class TestManifestMemo:
         assert hit == miss
         remembered = case != "non-canonical"
         assert len(parses) == 1 + (not remembered)
-        assert manifest_memo.cache_info().currsize == remembered
+        assert len(manifest_memo) == remembered
 
     def test_distinct_maximum_size_manifests_keep_the_bound(self, manifest_memo):
         versions = range(1, 4 * MANIFEST_MEMO_ENTRIES + 1)
+        signatures = [version.to_bytes(64, "big") for version in versions]
         tracemalloc.start()
         try:
-            for version in versions:
-                assert manifest_memo(max_size_manifest(version)).version == version
+            for version, signature in zip(versions, signatures):
+                manifest = packaging._remembered_manifest(max_size_manifest(version), signature)
+                assert manifest.version == version
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert manifest_memo.cache_info().currsize == MANIFEST_MEMO_ENTRIES == 16
+        assert len(manifest_memo) == MANIFEST_MEMO_ENTRIES == 16
         assert retained < 2.5 * (1 << 20)
         # the newest are the ones kept: the last version is a hit
-        hits = manifest_memo.cache_info().hits
-        manifest_memo(max_size_manifest(versions[-1]))
-        assert manifest_memo.cache_info().hits == hits + 1
+        assert list(manifest_memo) == signatures[-MANIFEST_MEMO_ENTRIES:]
+        raw, manifest = manifest_memo[signatures[-1]]
+        assert packaging._remembered_manifest(bytes(raw), signatures[-1]) is manifest
+
+    def test_concurrent_callers_get_the_right_manifests(self, monkeypatch, manifest_memo):
+        monkeypatch.setattr(packaging, "MANIFEST_MEMO_ENTRIES", 8)
+        # 32 manifests under 16 signatures, two manifests to each
+        raws = [canonical_bytes(make_manifest(version=n + 1)) for n in range(32)]
+        wrong = []
+
+        def caller(seed):
+            try:
+                for i in range(2000):
+                    n = (i * 7 + seed) % 32
+                    manifest = packaging._remembered_manifest(raws[n], bytes([n % 16]) * 64)
+                    if manifest.version != n + 1:
+                        wrong.append(n)
+            except Exception as exc:  # an eviction race surfaces as KeyError
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(manifest_memo) <= 8
